@@ -1,0 +1,12 @@
+"""Put the checkout's ``src`` and root on the path for the harness tests.
+
+Run from the root of a checkout: ``python3 -m pytest perfbench/tests -q``.
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
