@@ -300,11 +300,15 @@ class McCLSBatchVerifier:
     def _admit_signers(self, items, group: List[_CrossItem], verdicts, stats) -> None:
         """One multi-pairing over every new-signer item, then anchor them."""
         pairwise: List[_CrossItem] = []
+        checked = set()
         for item in group:
-            if self._signer_anchors.get(item.key) is None:
+            if item.key not in checked and self._signer_anchors.get(item.key) is None:
                 # Anchoring demands full subgroup membership of S (checked
-                # once per signer); on-curve-but-wrong-order points fall
-                # back to exact per-item verification permanently.
+                # once per signer per call - the order-n multiplication
+                # is the dearest step of a cold admission); on-curve-but-
+                # wrong-order points fall back to exact per-item
+                # verification permanently.
+                checked.add(item.key)
                 if not self.ctx.curve.in_g2(item.sig.s):
                     self._signer_anchors[item.key] = _UNANCHORABLE
             anchor = self._signer_anchors.get(item.key)

@@ -1,17 +1,37 @@
-"""Supervised crypto worker pool for the verification gateway.
+"""The gateway's verification pipeline and its supervised worker pool.
 
-The gateway's pairings are pure CPU; on the event loop they serialise
-every connection behind one slow verify.  This module moves them into a
-pool of **worker processes**, each holding a verifier view of the scheme
-(public params only - the KGC master secret never crosses the process
-boundary) plus its own bounded pairing caches:
+:func:`verify_window` and :func:`fast_window` are the whole verify
+pipeline of the gateway.  A worker process runs them for every job; a
+gateway without workers calls them inline on its event loop.  Verdicts,
+fallbacks, error details and session expiry therefore cannot depend on
+``--workers``:
 
-* **Identity-affinity routing.**  A same-signer group is routed by
-  ``crc32(identity) % size``, so one worker's Miller/GT/comb caches stay
-  hot for its identity partition instead of every worker thrashing over
-  the whole key population.  When the affine worker is dead or
-  restarting, the group falls over to another live worker (correctness
-  never depends on affinity).
+* **The window rule.**  :func:`verify_window` fully decodes a drained
+  window (a malformed item becomes ``("err", detail)``) and picks the
+  method from what is left.  One signer with one item gets an exact
+  ``verify``.  One signer with k > 1 items gets
+  :meth:`~repro.core.batch.McCLSBatchVerifier.verify_same_signer` (one
+  pairing when warm), then exact per-item verdicts if that fails or
+  raises.  Several signers get one randomized
+  :meth:`~repro.core.batch.McCLSBatchVerifier.verify_cross_signer`
+  fold, which bisects a failure down to exact verdicts.
+
+* **Session shards.**  :func:`fast_window` does the session lookup,
+  identity check, replay check and HMAC of MAC-authenticated
+  ``VERIFY_FAST`` requests against a :class:`SessionTable`.  Inline that
+  table is the gateway's own; with a pool every worker holds one for
+  its identity shard, bounded by the gateway's capacity and TTL.
+
+The pool moves that CPU work into **worker processes**, each holding a
+verifier view of the scheme (public params only - the KGC master secret
+never crosses the process boundary) plus its own bounded pairing caches:
+
+* **Identity-affinity routing.**  A window is routed by
+  ``crc32(identity) % size``, so one worker's Miller/GT/comb caches and
+  sessions stay with its identity partition instead of every worker
+  thrashing over the whole key population.  When the affine worker is
+  dead or restarting, the window falls over to another live worker
+  (correctness never depends on affinity).
 
 * **Crash/hang containment.**  Each worker is watched by the
   :class:`~repro.service.supervisor.WorkerSupervisor`: process exits and
@@ -29,20 +49,18 @@ boundary) plus its own bounded pairing caches:
   keep working through the pool.
 
 Wire format parent -> worker (pickled tuples over a duplex pipe):
-``("job", id, [payload, ...])`` (same-signer group),
-``("job", id, [payload, ...], "cross")`` (a mixed-signer window folded
-by :meth:`~repro.core.batch.McCLSBatchVerifier.verify_cross_signer`) or
-``("job", id, [payload, ...], "fast")`` (MAC-authenticated fast-path
-requests validated against the worker's session shard),
+``("verify", id, [payload, ...])`` (one window through
+:func:`verify_window`), ``("fast", id, [payload, ...])`` (one window
+through :func:`fast_window` against the worker's session shard),
 ``("session", session_id, key, identity)`` (install one established
-fast-path session; the gateway sends it to the identity's shard owner),
-``("params", doc)`` (which also clears the worker's session shard - a
-rekey kills every session key), ``("ping", seq)``, ``("sleep",
+session; the gateway sends it to the identity's shard owner),
+``("params", doc)`` (rebuild the verifier view and an empty session
+shard - a rekey kills every session key; ``doc["sessions"]`` carries the
+shard's ``capacity`` and ``ttl_s``), ``("ping", seq)``, ``("sleep",
 seconds)`` (a chaos/test hook simulating a hard hang) and ``("stop",)``.
-Worker -> parent: ``("ready", pid)``, ``("pong", seq)``,
-``("done", id, results, pairing_s, fallback, cache_stats, fold_stats)``
-(``fold_stats`` is ``None`` for same-signer and fast jobs) and
-``("failed", id, detail)``.
+Worker -> parent: ``("ready", pid)``, ``("pong", seq)``, ``("done", id,
+outcome, cache_stats)`` (``outcome`` is the window function's return
+value) and ``("failed", id, detail)``.
 """
 
 from __future__ import annotations
@@ -52,15 +70,20 @@ import multiprocessing
 import threading
 import time
 import zlib
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.batch import McCLSBatchVerifier
 from repro.core.session import EstablishedSession
 from repro.errors import ReproError, ServiceError, WorkerLostError
+from repro.pairing.curve import point_key
 from repro.service import protocol
 from repro.service.supervisor import RestartBackoff, WorkerSupervisor
 
-#: one item's verdict from a worker: ("ok", bool) or ("err", detail)
+#: one item's result: ("ok", verdict), ("replay", False) for a replayed
+#: fast-path sequence number, or ("err", detail) - a malformed payload,
+#: or protocol.UNKNOWN_SESSION
 ItemResult = Tuple[str, object]
 
 
@@ -92,167 +115,182 @@ def merge_cache_stats(*stats: Dict[str, Dict[str, int]]) -> Dict[str, Dict[str, 
 
 
 # ---------------------------------------------------------------------------
-# Worker process
+# The verification pipeline (runs in a worker, or inline in the gateway)
 # ---------------------------------------------------------------------------
 
 
-def _verify_items(curve, view, batcher, payloads: List[bytes]):
-    """Verdicts for one same-signer group of raw verify payloads.
+@dataclass
+class _SessionEntry:
+    """One live fast-path session plus its replay/expiry state."""
 
-    Returns (results, pairing_s, fallback): per-item ``("ok", bool)`` /
-    ``("err", detail)`` results in order, the crypto seconds the group
-    cost, and whether the aggregate check fell back to per-item work.
+    session: EstablishedSession
+    identity: str
+    #: highest sequence number accepted so far (monotonic per session)
+    seq: int
+    #: monotonic second the session stops being honoured
+    expires_at: float
+
+
+class SessionTable:
+    """Bounded LRU of established fast-path sessions with a TTL.
+
+    Keys are session ids (transcript digests).  ``get`` refreshes LRU
+    order but never the TTL: a session lives at most ``ttl_s`` seconds
+    from establishment, after which the client must re-handshake (and so
+    re-prove possession of its enrolled McCLS key).  Eviction and expiry
+    are counted so STATS can distinguish churn from rekey flushes.
     """
-    requests: List = []
+
+    def __init__(self, capacity: int = 1024, ttl_s: float = 600.0):
+        if capacity < 1:
+            raise ValueError("session table capacity must be >= 1")
+        self.capacity = capacity
+        self.ttl_s = ttl_s
+        self.evictions = 0
+        self.expirations = 0
+        self._entries: "OrderedDict[bytes, _SessionEntry]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def put(self, session: EstablishedSession, now: float) -> None:
+        """Admit a fresh session, evicting the LRU entry when full."""
+        entry = _SessionEntry(
+            session=session,
+            identity=session.client_identity,
+            seq=0,
+            expires_at=now + self.ttl_s,
+        )
+        self._entries[session.session_id] = entry
+        self._entries.move_to_end(session.session_id)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+
+    def get(self, session_id: bytes, now: float) -> Optional[_SessionEntry]:
+        """The live entry for ``session_id``, or None (expired entries
+        are removed on access)."""
+        entry = self._entries.get(session_id)
+        if entry is None:
+            return None
+        if now >= entry.expires_at:
+            del self._entries[session_id]
+            self.expirations += 1
+            return None
+        self._entries.move_to_end(session_id)
+        return entry
+
+    def prune(self, now: float) -> None:
+        """Remove (and count) every expired entry, accessed or not."""
+        for session_id in [
+            sid for sid, entry in self._entries.items()
+            if now >= entry.expires_at
+        ]:
+            del self._entries[session_id]
+            self.expirations += 1
+
+    def flush(self) -> int:
+        """Drop every session (rekey invalidation); returns the count."""
+        flushed = len(self._entries)
+        self._entries.clear()
+        return flushed
+
+
+def verify_window(
+    curve, verifier, batcher: McCLSBatchVerifier, payloads: List[bytes]
+):
+    """Verdicts for one window of raw VERIFY payloads (the window rule
+    in the module docstring).
+
+    Returns ``(results, crypto_s, fallback, fold_stats)``: per-item
+    results in payload order, the seconds the crypto took, whether a
+    same-signer aggregate gave way to exact per-item verifies, and the
+    cross-signer fold's accounting (``None`` unless the window spans
+    several signers).
+    """
     results: List[Optional[ItemResult]] = []
+    live: List[Tuple[int, protocol.VerifyRequest]] = []
     for payload in payloads:
         try:
             request = protocol.decode_verify_payload(curve, payload)
         except ReproError as exc:
             results.append(("err", str(exc)))
-            requests.append(None)
             continue
+        live.append((len(results), request))
         results.append(None)
-        requests.append(request)
-    live = [r for r in requests if r is not None]
+    requests = [request for _index, request in live]
     started = time.perf_counter()
-    fallback = False
-
-    def verify_one(request) -> ItemResult:
-        try:
-            return (
-                "ok",
-                bool(
-                    view.verify(
-                        request.message,
-                        request.signature,
-                        request.identity,
-                        request.public_key,
-                    )
-                ),
+    signers = {(r.identity, point_key(r.public_key)) for r in requests}
+    verdicts: Optional[List[bool]] = None
+    fold_stats: Optional[dict] = None
+    try:
+        if len(signers) > 1:
+            fold_stats = {}  # a cross window even if the fold raises
+            verdicts, fold_stats = batcher.verify_cross_signer(
+                [
+                    (r.message, r.signature, r.identity, r.public_key)
+                    for r in requests
+                ]
             )
-        except (ReproError, ValueError, ZeroDivisionError, ArithmeticError) as exc:
-            return ("err", f"verification failed: {exc}")
-
-    verdicts: Dict[int, ItemResult] = {}
-    if len(live) > 1:
-        # The anchored cross-signer fold subsumes the same-signer batch:
-        # once this signer's anchor W = x*P is admitted, a warm group
-        # settles with zero pairings (one fixed-base mult plus one MSM),
-        # and a tampered item bisects down in pure G1 instead of forcing
-        # a per-item pairing re-verification of the whole group.
-        items = [
-            (r.message, r.signature, r.identity, r.public_key)
-            for r in live
+        elif len(requests) > 1 and batcher.verify_same_signer(
+            [(r.message, r.signature) for r in requests],
+            requests[0].identity,
+            requests[0].public_key,
+        ):
+            verdicts = [True] * len(requests)
+    except (ReproError, ValueError, ZeroDivisionError, ArithmeticError):
+        pass  # content the aggregate cannot even weigh: settle per item
+    fallback = verdicts is None and len(requests) > 1
+    if verdicts is None:
+        verdicts = [
+            verifier.verify(r.message, r.signature, r.identity, r.public_key)
+            for r in requests
         ]
-        try:
-            flags, _fold_stats = batcher.verify_cross_signer(items)
-            for request, ok in zip(live, flags):
-                verdicts[id(request)] = ("ok", bool(ok))
-        except (ReproError, ValueError, ZeroDivisionError, ArithmeticError):
-            fallback = True
-    if not verdicts:
-        for request in live:
-            verdicts[id(request)] = verify_one(request)
-    for index, request in enumerate(requests):
-        if request is not None:
-            results[index] = verdicts[id(request)]
-    return results, time.perf_counter() - started, fallback
-
-
-def _verify_items_cross(curve, view, batcher, payloads: List[bytes]):
-    """Verdicts for one mixed-signer window of raw verify payloads.
-
-    Returns (results, pairing_s, fallback, fold_stats): per-item results
-    in payload order, the crypto seconds, whether the randomized fold had
-    to be abandoned for exact per-item work, and the
-    :meth:`~repro.core.batch.McCLSBatchVerifier.verify_cross_signer`
-    accounting document (``folds``/``bisections``/...).
-    """
-    requests: List = []
-    results: List[Optional[ItemResult]] = []
-    for payload in payloads:
-        try:
-            request = protocol.decode_verify_payload(curve, payload)
-        except ReproError as exc:
-            results.append(("err", str(exc)))
-            requests.append(None)
-            continue
-        results.append(None)
-        requests.append(request)
-    live = [r for r in requests if r is not None]
-    started = time.perf_counter()
-    fallback = False
-    fold_stats: Dict[str, object] = {}
-    verdicts: List[bool] = []
-    if live:
-        items = [
-            (r.message, r.signature, r.identity, r.public_key) for r in live
-        ]
-        try:
-            verdicts, fold_stats = batcher.verify_cross_signer(items)
-        except (ReproError, ValueError, ZeroDivisionError, ArithmeticError):
-            fallback = True
-            verdicts = []
-            for request in live:
-                try:
-                    verdicts.append(
-                        bool(
-                            view.verify(
-                                request.message,
-                                request.signature,
-                                request.identity,
-                                request.public_key,
-                            )
-                        )
-                    )
-                except (
-                    ReproError, ValueError, ZeroDivisionError, ArithmeticError
-                ):
-                    verdicts.append(False)
-    by_id = {id(r): ("ok", bool(v)) for r, v in zip(live, verdicts)}
-    for index, request in enumerate(requests):
-        if request is not None:
-            results[index] = by_id[id(request)]
+    for (index, _request), valid in zip(live, verdicts):
+        results[index] = ("ok", bool(valid))
     return results, time.perf_counter() - started, fallback, fold_stats
 
 
-def _verify_items_fast(sessions: Dict[bytes, List], payloads: List[bytes]):
-    """Verdicts for one window of MAC-authenticated fast-path payloads.
+def fast_window(sessions: SessionTable, payloads: List[bytes]):
+    """Verdicts for one window of MAC-authenticated VERIFY_FAST payloads.
 
-    ``sessions`` maps session id -> ``[EstablishedSession, last_seq]``
-    for the worker's identity shard.  No curve arithmetic runs here -
-    session lookup, replay check, HMAC - so a warm fast path performs
-    zero pairings anywhere in the deployment.
+    Session lookup (expired sessions die here), identity binding, replay
+    check and HMAC - no curve arithmetic, so a warm fast path performs
+    zero pairings.  Returns ``(results, crypto_s)``.
     """
-    results: List[ItemResult] = []
     started = time.perf_counter()
+    now = time.monotonic()
+    results: List[ItemResult] = []
     for payload in payloads:
         try:
             request = protocol.decode_verify_fast_payload(payload)
         except ReproError as exc:
             results.append(("err", str(exc)))
             continue
-        entry = sessions.get(request.session_id)
-        if entry is None or entry[0].client_identity != request.identity:
+        entry = sessions.get(request.session_id, now)
+        if entry is None or entry.identity != request.identity:
             results.append(("err", protocol.UNKNOWN_SESSION))
-            continue
-        session, last_seq = entry
-        if request.seq <= last_seq:
-            results.append(("ok", False))  # replayed sequence number
-            continue
-        if session.mac_ok(
+        elif request.seq <= entry.seq:
+            # replayed or reordered-behind sequence number: a legitimate
+            # client never reuses one, so this is an invalid verdict
+            results.append(("replay", False))
+        elif entry.session.mac_ok(
             request.mac,
             *protocol.fast_verify_mac_bytes(
                 request.session_id, request.seq, request.identity,
                 request.message,
             ),
         ):
-            entry[1] = request.seq
+            entry.seq = request.seq
             results.append(("ok", True))
         else:
             results.append(("ok", False))
     return results, time.perf_counter() - started
+
+
+# ---------------------------------------------------------------------------
+# Worker process
+# ---------------------------------------------------------------------------
 
 
 def _worker_main(conn, params_doc: dict, cache_size: Optional[int]) -> None:
@@ -267,11 +305,13 @@ def _worker_main(conn, params_doc: dict, cache_size: Optional[int]) -> None:
     # imported here so the docstring-level import graph stays acyclic
     from repro.service.client import build_verifier_view
 
+    def build(document: dict):
+        curve, view = build_verifier_view(document, cache_size=cache_size)
+        shard = SessionTable(**document.get("sessions", {}))
+        return curve, view, McCLSBatchVerifier(view), shard
+
     try:
-        curve, view = build_verifier_view(params_doc, cache_size=cache_size)
-        batcher = McCLSBatchVerifier(view)
-        # this worker's session shard: session id -> [session, last_seq]
-        sessions: Dict[bytes, List] = {}
+        curve, view, batcher, sessions = build(params_doc)
         # cache accounting accumulated across params generations, so a
         # rekey (which rebuilds the context) does not reset the totals
         # the gateway's STATS report
@@ -288,57 +328,39 @@ def _worker_main(conn, params_doc: dict, cache_size: Optional[int]) -> None:
                 stats_base = merge_cache_stats(
                     stats_base, view.ctx.cache_stats()
                 )
-                curve, view = build_verifier_view(
-                    message[1], cache_size=cache_size
-                )
-                batcher = McCLSBatchVerifier(view)
                 # a rekey invalidated every issued partial key, so every
-                # session key derived from one dies with it
-                sessions.clear()
+                # session key derived from one dies with the old shard
+                curve, view, batcher, sessions = build(message[1])
                 conn.send(("ready", multiprocessing.current_process().pid))
             elif kind == "session":
                 _, session_id, key, identity = message
-                sessions[session_id] = [
+                sessions.put(
                     EstablishedSession(
                         session_id=session_id,
                         key=key,
                         client_identity=identity,
                         gateway_identity="",
                     ),
-                    0,
-                ]
+                    time.monotonic(),
+                )
             elif kind == "sleep":
                 # chaos/test hook: a hard synchronous hang
                 time.sleep(message[1])
-            elif kind == "job":
-                job_id, payloads = message[1], message[2]
-                mode = message[3] if len(message) > 3 else "same"
+            elif kind in ("verify", "fast"):
+                _, job_id, payloads = message
                 try:
-                    fold_stats = None
-                    if mode == "fast":
-                        results, pairing_s = _verify_items_fast(
-                            sessions, payloads
-                        )
-                        fallback = False
-                    elif mode == "cross":
-                        results, pairing_s, fallback, fold_stats = (
-                            _verify_items_cross(curve, view, batcher, payloads)
-                        )
+                    if kind == "fast":
+                        outcome = fast_window(sessions, payloads)
                     else:
-                        results, pairing_s, fallback = _verify_items(
-                            curve, view, batcher, payloads
-                        )
+                        outcome = verify_window(curve, view, batcher, payloads)
                     conn.send(
                         (
                             "done",
                             job_id,
-                            results,
-                            pairing_s,
-                            fallback,
+                            outcome,
                             merge_cache_stats(
                                 stats_base, view.ctx.cache_stats()
                             ),
-                            fold_stats,
                         )
                     )
                 except Exception as exc:  # total: one bad job != one worker
@@ -481,49 +503,29 @@ class VerifyWorkerPool:
             handle.state = "dead"
 
     # -- submission ---------------------------------------------------------
-    async def submit(
-        self, affinity_key: str, payloads: List[bytes]
-    ) -> Tuple[List[ItemResult], float, bool]:
-        """Verify one same-signer group on a worker.
+    async def submit(self, affinity_key: str, payloads: List[bytes]):
+        """Run :func:`verify_window` over one window on a worker.
 
-        Returns (per-item results, pairing seconds, fallback flag);
-        raises :class:`~repro.errors.WorkerLostError` when the owning
-        worker dies or overruns its job deadline with this group in
-        flight, and when no worker is live within ``submit_wait_s``.
+        Returns its ``(results, crypto_s, fallback, fold_stats)``; raises
+        :class:`~repro.errors.WorkerLostError` when the owning worker
+        dies or overruns its job deadline with this window in flight, and
+        when no worker is live within ``submit_wait_s``.
         """
-        results, pairing_s, fallback, _stats = await self._submit(
-            affinity_key, payloads, "same"
-        )
-        return results, pairing_s, fallback
+        return await self._submit("verify", affinity_key, payloads)
 
-    async def submit_cross(
-        self, affinity_key: str, payloads: List[bytes]
-    ) -> Tuple[List[ItemResult], float, bool, Optional[dict]]:
-        """Verify one mixed-signer window on a worker via the randomized
-        cross-signer fold.
+    #: every window takes the same path; the name stays for callers
+    submit_cross = submit
 
-        ``affinity_key`` should be the dominant signer's identity so the
-        worker holding that signer's hot caches does the fold.  Returns
-        (per-item results, pairing seconds, fallback flag, fold stats);
-        failure modes match :meth:`submit`.
+    async def submit_fast(self, affinity_key: str, payloads: List[bytes]):
+        """Run :func:`fast_window` on the worker owning ``affinity_key``'s
+        session shard; returns its ``(results, crypto_s)``.
+
+        An item whose session the worker does not hold (restart,
+        eviction, expiry, rekey) comes back as ``("err",
+        UNKNOWN_SESSION)`` so the gateway tells that client to
+        re-handshake.  Failure modes match :meth:`submit`.
         """
-        return await self._submit(affinity_key, payloads, "cross")
-
-    async def submit_fast(
-        self, affinity_key: str, payloads: List[bytes]
-    ) -> Tuple[List[ItemResult], float, bool]:
-        """Validate one window of MAC-authenticated fast-path requests on
-        the worker owning ``affinity_key``'s session shard.
-
-        Returns (per-item results, crypto seconds, fallback flag); an
-        item whose session the worker does not hold (restart, eviction,
-        rekey) comes back as ``("err", UNKNOWN_SESSION)`` so the gateway
-        tells that client to re-handshake.
-        """
-        results, crypto_s, fallback, _stats = await self._submit(
-            affinity_key, payloads, "fast"
-        )
-        return results, crypto_s, fallback
+        return await self._submit("fast", affinity_key, payloads)
 
     def install_session(self, session: EstablishedSession) -> None:
         """Hand one established session to its identity shard's worker.
@@ -548,9 +550,7 @@ class VerifyWorkerPool:
         except (OSError, ValueError) as exc:
             self.declare_lost(handle, f"session send failed: {exc}")
 
-    async def _submit(
-        self, affinity_key: str, payloads: List[bytes], mode: str
-    ) -> Tuple[List[ItemResult], float, bool, Optional[dict]]:
+    async def _submit(self, kind: str, affinity_key: str, payloads: List[bytes]):
         if self._closed:
             raise WorkerLostError("worker pool is stopped")
         handle = await self._acquire(affinity_key)
@@ -559,7 +559,7 @@ class VerifyWorkerPool:
         future = self._loop.create_future()
         handle.pending[job_id] = (future, time.monotonic())
         try:
-            handle.conn.send(("job", job_id, payloads, mode))
+            handle.conn.send((kind, job_id, payloads))
         except (OSError, ValueError) as exc:
             self.declare_lost(handle, f"pipe send failed: {exc}")
         return await future
@@ -588,11 +588,11 @@ class VerifyWorkerPool:
     def shard_of(self, affinity_key: str) -> int:
         """Stable shard index an identity prefers (ignores liveness).
 
-        The gateway uses this to split a mixed-signer window along worker
-        ownership lines before submitting: every worker then only admits
-        and anchors its own identity partition instead of each worker
-        slowly learning the entire population.  Dead-worker fallback still
-        happens per submit in :meth:`_route`.
+        The gateway splits every drained window along these ownership
+        lines before submitting: each worker then only admits, anchors
+        and holds sessions for its own identity partition instead of
+        slowly learning the entire population.  Dead-worker fallback
+        still happens per submit in :meth:`_route`.
         """
         return zlib.crc32(affinity_key.encode("utf-8")) % self.size
 
@@ -679,9 +679,7 @@ class VerifyWorkerPool:
         elif kind == "pong":
             handle.last_pong = now
         elif kind == "done":
-            _, job_id, results, pairing_s, fallback, cache_stats, fold_stats = (
-                message
-            )
+            _, job_id, outcome, cache_stats = message
             handle.last_pong = now
             handle.cache_stats = cache_stats
             entry = handle.pending.pop(job_id, None)
@@ -690,7 +688,7 @@ class VerifyWorkerPool:
                 if not future.done():
                     handle.jobs_done += 1
                     self.counters["jobs_done"] += 1
-                    future.set_result((results, pairing_s, fallback, fold_stats))
+                    future.set_result(outcome)
         elif kind == "failed":
             _, job_id, detail = message
             handle.last_pong = now

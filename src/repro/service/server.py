@@ -14,27 +14,35 @@ of constrained clients:
   the gateway answers ``BUSY`` immediately instead of buffering without
   limit - the client owns the retry policy, the server owns its memory.
 
-* **Same-signer micro-batching.**  The consumer drains whatever is queued
-  (up to ``max_batch``), groups the VERIFY requests by (identity, public
-  key) and folds each group into
-  :meth:`~repro.core.batch.McCLSBatchVerifier.verify_same_signer` - a
-  warm same-signer burst of k signatures costs **one** pairing instead of
-  k.  A drained window that spans *several* signers folds once through
-  :meth:`~repro.core.batch.McCLSBatchVerifier.verify_cross_signer`
-  instead of once per signer: every item gets an independent random
-  weight, anchored signers settle pairing-free in G1, and a failed fold
-  bisects down to exact per-item verdicts.  Either way a failed batch
-  falls back to per-item verification so every request still gets an
-  exact verdict.
+* **One verification pipeline, micro-batched.**  The consumer drains
+  whatever is queued (up to ``max_batch``).  Admission only splits each
+  VERIFY / VERIFY_FAST payload's routing prefix (the signer identity);
+  one partition step then cuts the drained window along identity shards
+  - the pool's shards, or a single shard inline - and every shard window
+  runs through the same function,
+  :func:`~repro.service.pool.verify_window` or
+  :func:`~repro.service.pool.fast_window`.  A one-signer burst of k
+  signatures folds into
+  :meth:`~repro.core.batch.McCLSBatchVerifier.verify_same_signer` (one
+  pairing when warm) with exact per-item verdicts if that fails; a
+  window spanning several signers folds once through
+  :meth:`~repro.core.batch.McCLSBatchVerifier.verify_cross_signer`,
+  which bisects a failure down to exact verdicts.  One accounting step
+  turns the results into replies, counters, stage histograms and spans
+  in both modes, so every verdict, counter and reply byte is the same
+  with or without workers.
 
-* **Supervised worker pool** (``workers > 0``).  The pairing CPU moves
-  into :class:`~repro.service.pool.VerifyWorkerPool` worker processes;
-  the event loop only frames, routes (by identity affinity) and replies.
-  A worker crash or hang mid-batch becomes a clean ``ERR worker-lost``
-  reply for the jobs it owed - **never a hung future** - while the
-  supervisor restarts the worker under jittered backoff.  REKEY
-  broadcasts the new params to every worker before its reply is sent, so
-  any verify pipelined after the rekey reply sees the new master key.
+* **Supervised worker pool** (``workers > 0``).  The shard windows run
+  in :class:`~repro.service.pool.VerifyWorkerPool` worker processes
+  instead of inline; the event loop only frames, routes (by identity
+  affinity) and replies.  A worker crash or hang mid-window becomes a
+  clean ``ERR worker-lost`` reply for the jobs it owed - **never a hung
+  future** - while the supervisor restarts the worker under jittered
+  backoff.  REKEY broadcasts the new params to every worker before its
+  reply is sent, so any verify pipelined after the rekey reply sees the
+  new master key.  Each worker holds the fast-path sessions of its
+  shard with the gateway's capacity and TTL; the gateway's own table
+  then serves as the registry STATS reports.
 
 * **Deadline enforcement.**  A request whose opcode byte carries
   :data:`~repro.service.protocol.DEADLINE_FLAG` names its time budget;
@@ -70,15 +78,13 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.batch import McCLSBatchVerifier
 from repro.core.mccls import McCLS
 from repro.core.params import KeyGenerationCenter
-from repro.core.serialization import encode_g1
-from repro.core.session import EstablishedSession, SessionAuthority
+from repro.core.session import SessionAuthority
 from repro.errors import ReproError, SerializationError, WorkerLostError
 from repro.obs.events import EventSink, NULL_EVENT_SINK
 from repro.obs.exposition import PrometheusRenderer
@@ -87,7 +93,13 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.pairing.bn import BNCurve, toy_curve
 from repro.schemes.base import normalize_identity
 from repro.service import protocol
-from repro.service.pool import VerifyWorkerPool, merge_cache_stats
+from repro.service.pool import (
+    SessionTable,
+    VerifyWorkerPool,
+    fast_window,
+    merge_cache_stats,
+    verify_window,
+)
 from repro.service.protocol import Opcode, Status
 from repro.service.supervisor import RestartBackoff
 
@@ -101,88 +113,19 @@ _Work = Tuple[bytes, "asyncio.Future[bytes]", float]
 
 @dataclass
 class _PendingVerify:
-    """One VERIFY awaiting its (possibly batched) verdict.
-
-    ``request`` is populated on the in-process path (full decode),
-    ``payload`` on the worker-pool path (the parent only splits the
-    routing prefix; workers do the expensive curve-membership checks).
-    """
+    """One VERIFY or VERIFY_FAST awaiting its (windowed) verdict."""
 
     future: "asyncio.Future[bytes]"
     trace_id: Optional[int]
     enqueued: float
     #: absolute perf_counter second the client's budget runs out, or None
     deadline: Optional[float]
-    request: Optional[protocol.VerifyRequest] = None
-    payload: Optional[bytes] = None
-
-
-@dataclass
-class _SessionEntry:
-    """One live fast-path session plus its replay/expiry state."""
-
-    session: EstablishedSession
-    identity: str
-    #: highest sequence number accepted so far (monotonic per session)
-    seq: int
-    #: monotonic second the session stops being honoured
-    expires_at: float
-
-
-class SessionTable:
-    """Bounded LRU of established fast-path sessions with a TTL.
-
-    Keys are session ids (transcript digests).  ``get`` refreshes LRU
-    order but never the TTL: a session lives at most ``ttl_s`` seconds
-    from establishment, after which the client must re-handshake (and so
-    re-prove possession of its enrolled McCLS key).  Eviction and expiry
-    are counted so STATS can distinguish churn from rekey flushes.
-    """
-
-    def __init__(self, capacity: int = 1024, ttl_s: float = 600.0):
-        if capacity < 1:
-            raise ValueError("session table capacity must be >= 1")
-        self.capacity = capacity
-        self.ttl_s = ttl_s
-        self.evictions = 0
-        self.expirations = 0
-        self._entries: "OrderedDict[bytes, _SessionEntry]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def put(self, session: EstablishedSession, now: float) -> None:
-        """Admit a fresh session, evicting the LRU entry when full."""
-        entry = _SessionEntry(
-            session=session,
-            identity=session.client_identity,
-            seq=0,
-            expires_at=now + self.ttl_s,
-        )
-        self._entries[session.session_id] = entry
-        self._entries.move_to_end(session.session_id)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def get(self, session_id: bytes, now: float) -> Optional[_SessionEntry]:
-        """The live entry for ``session_id``, or None (expired entries
-        are removed on access)."""
-        entry = self._entries.get(session_id)
-        if entry is None:
-            return None
-        if now >= entry.expires_at:
-            del self._entries[session_id]
-            self.expirations += 1
-            return None
-        self._entries.move_to_end(session_id)
-        return entry
-
-    def flush(self) -> int:
-        """Drop every session (rekey invalidation); returns the count."""
-        flushed = len(self._entries)
-        self._entries.clear()
-        return flushed
+    #: VERIFY_FAST (a session MAC check) rather than VERIFY
+    fast: bool
+    #: the signer identity (routing prefix); the window function decodes
+    #: and curve-validates the full payload
+    key: str
+    payload: bytes
 
 
 class VerificationGateway:
@@ -259,9 +202,10 @@ class VerificationGateway:
             "fast_verify_replays": 0,
             "fast_verify_unknown_session": 0,
         }
-        #: established fast-path sessions (the authoritative table; with
-        #: a worker pool each session is additionally installed in its
-        #: identity shard's worker, which does the MAC checking there)
+        #: established fast-path sessions: the one shard fast_window
+        #: checks inline; with a worker pool each session is also
+        #: installed in its identity shard's worker, which checks it
+        #: there, and this table is the registry STATS reports
         self.sessions = SessionTable(
             capacity=session_capacity, ttl_s=session_ttl_s
         )
@@ -297,7 +241,7 @@ class VerificationGateway:
         self._stopped = False
         if self.workers > 0 and self._pool is None:
             self._pool = VerifyWorkerPool(
-                self._params(),
+                self._worker_params(),
                 self.workers,
                 cache_size=self.worker_cache_size,
                 job_timeout_s=self.worker_job_timeout_s,
@@ -488,7 +432,7 @@ class VerificationGateway:
                 except asyncio.QueueEmpty:
                     break
             try:
-                self._process(batch)
+                await self._process(batch)
             finally:
                 for _ in batch:
                     self._queue.task_done()
@@ -496,19 +440,21 @@ class VerificationGateway:
             # next batch accumulates.
             await asyncio.sleep(0)
 
-    def _process(self, batch: List[_Work]) -> None:
+    async def _process(self, batch: List[_Work]) -> None:
         """Decode and answer one drained batch.
 
-        In-process mode this does the CPU work synchronously; with a
-        worker pool it only splits routing prefixes and spawns dispatch
-        tasks, so the loop returns to framing immediately.
+        Verify requests are only split at their routing prefix here,
+        partitioned into shard windows and run through
+        :meth:`_run_window`: inline that does the CPU work synchronously
+        (the window coroutine never suspends); with a worker pool each
+        window becomes a task, so the loop returns to framing at once.
         """
         drained = time.perf_counter()
         registry = self.registry
         registry.histogram("service.batch_size").observe(len(batch))
         tracer = self.tracer
-        verifies: List[_PendingVerify] = []
-        fasts: List[Tuple[str, _PendingVerify]] = []
+        curve = self.kgc.ctx.curve
+        pendings: List[_PendingVerify] = []
         for body, future, enqueued in batch:
             if future.done():  # connection already answered (cannot happen
                 continue  # for queued work today, but stay defensive)
@@ -546,39 +492,20 @@ class VerificationGateway:
                             )
                         )
                         continue
-                if opcode == Opcode.VERIFY:
-                    verifies.append(
-                        self._admit_verify(
-                            future, payload, trace_id, enqueued, deadline
+                if opcode in (Opcode.VERIFY, Opcode.VERIFY_FAST):
+                    fast = opcode == Opcode.VERIFY_FAST
+                    if fast:
+                        self.counters["fast_verify_requests"] += 1
+                        key = protocol.split_verify_fast_payload(payload)
+                    else:
+                        key, _pk_blob = protocol.split_verify_payload(
+                            curve, payload
                         )
-                    )
-                    continue
-                if opcode == Opcode.VERIFY_FAST:
-                    self.counters["fast_verify_requests"] += 1
-                    if self._pool is not None:
-                        identity = protocol.split_verify_fast_payload(payload)
-                        fasts.append(
-                            (
-                                identity,
-                                _PendingVerify(
-                                    future,
-                                    trace_id,
-                                    enqueued,
-                                    deadline,
-                                    payload=payload,
-                                ),
-                            )
+                    pendings.append(
+                        _PendingVerify(
+                            future, trace_id, enqueued, deadline, fast, key,
+                            payload,
                         )
-                        continue
-                    request = protocol.decode_verify_fast_payload(payload)
-                    reply = self._answer_fast(request)
-                    self._resolve_verify(
-                        _PendingVerify(future, trace_id, enqueued, deadline),
-                        reply,
-                        time.perf_counter(),
-                    )
-                    registry.histogram("service.request_ms").observe(
-                        (time.perf_counter() - enqueued) * 1e3
                     )
                     continue
                 if opcode == Opcode.REKEY and self._pool is not None:
@@ -599,43 +526,12 @@ class VerificationGateway:
                 future.set_result(
                     protocol.error_reply(f"internal error: {exc}")
                 )
-        if verifies:
-            if self._pool is not None:
-                self._dispatch_grouped(verifies)
+        for members in self._partition(pendings):
+            window = self._run_window(members)
+            if self._pool is None:
+                await window
             else:
-                self._verify_grouped(verifies)
-        if fasts:
-            # Group by shard so each worker only validates sessions for
-            # its own identity partition (the session was installed there
-            # at handshake time).
-            shards: Dict[int, List[Tuple[str, _PendingVerify]]] = {}
-            for identity, pending in fasts:
-                shards.setdefault(self._pool.shard_of(identity), []).append(
-                    (identity, pending)
-                )
-            for members in shards.values():
-                self._spawn_group_task(self._dispatch_fast(members))
-
-    def _admit_verify(
-        self,
-        future: "asyncio.Future[bytes]",
-        payload: bytes,
-        trace_id: Optional[int],
-        enqueued: float,
-        deadline: Optional[float],
-    ) -> _PendingVerify:
-        """Parse a VERIFY payload just far enough for this serving mode."""
-        if self._pool is not None:
-            # Routing needs only the (identity, pk) prefix; the worker
-            # does the expensive curve-membership decode.
-            protocol.split_verify_payload(self.kgc.ctx.curve, payload)
-            return _PendingVerify(
-                future, trace_id, enqueued, deadline, payload=payload
-            )
-        request = protocol.decode_verify_payload(self.kgc.ctx.curve, payload)
-        return _PendingVerify(
-            future, trace_id, enqueued, deadline, request=request
-        )
+                self._spawn_group_task(window)
 
     def _spawn_group_task(self, coroutine) -> None:
         task = asyncio.ensure_future(coroutine)
@@ -694,7 +590,7 @@ class VerificationGateway:
             self.counters["rekeys"] += 1
             self._flush_sessions_after_rekey()
             # broadcast_params also clears every worker's session shard
-            await self._pool.broadcast_params(self._params())
+            await self._pool.broadcast_params(self._worker_params())
             reply = protocol.encode_reply(
                 Status.OK, protocol.encode_json_payload(self._params())
             )
@@ -741,96 +637,63 @@ class VerificationGateway:
             Status.OK, protocol.encode_session_accept(curve, accept)
         )
 
-    def _answer_fast(self, request: protocol.FastVerifyRequest) -> bytes:
-        """One in-process VERIFY_FAST verdict: session lookup, replay
-        check, HMAC - no curve arithmetic at all."""
-        entry = self.sessions.get(request.session_id, time.monotonic())
-        if entry is None or entry.identity != request.identity:
-            self.counters["fast_verify_unknown_session"] += 1
-            return protocol.error_reply(protocol.UNKNOWN_SESSION)
-        if request.seq <= entry.seq:
-            # replayed or reordered-behind sequence number: a legitimate
-            # client never reuses one, so this is an invalid verdict
-            self.counters["fast_verify_replays"] += 1
-            self.counters["fast_verify_invalid"] += 1
-            return protocol.verify_reply(False)
-        if entry.session.mac_ok(
-            request.mac,
-            *protocol.fast_verify_mac_bytes(
-                request.session_id, request.seq, request.identity,
-                request.message,
-            ),
-        ):
-            entry.seq = request.seq
-            self.counters["fast_verify_valid"] += 1
-            return protocol.verify_reply(True)
-        self.counters["fast_verify_invalid"] += 1
-        return protocol.verify_reply(False)
+    # -- the verification pipeline ------------------------------------------
+    def _partition(
+        self, pendings: List[_PendingVerify]
+    ) -> List[List[_PendingVerify]]:
+        """Cut a drained window by request kind and along the pool's
+        identity shards (one shard inline), so every worker only admits,
+        anchors and holds sessions for its own partition of the
+        population."""
+        windows: Dict[Tuple[bool, int], List[_PendingVerify]] = {}
+        for pending in pendings:
+            shard = 0 if self._pool is None else self._pool.shard_of(pending.key)
+            windows.setdefault((pending.fast, shard), []).append(pending)
+        return list(windows.values())
 
-    async def _dispatch_fast(
-        self, members: List[Tuple[str, "_PendingVerify"]]
-    ) -> None:
-        """One shard's fast-verify window through the worker pool.
-
-        The owning worker holds the shard's session state (installed at
-        handshake time), so MAC checking and replay tracking happen
-        there; a worker restart loses its sessions and the resulting
-        ``unknown session`` errors drive clients to re-handshake.
-        """
-        pendings = [pending for _identity, pending in members]
+    async def _run_window(self, members: List[_PendingVerify]) -> None:
+        """One shard window: inline through the window function, or one
+        round trip through the pool; either way one accounting pass, and
+        no reply future outlives the call."""
+        fast = members[0].fast
+        payloads = [pending.payload for pending in members]
+        started = time.perf_counter()
         try:
             try:
-                results, _crypto_s, _fallback = await self._pool.submit_fast(
-                    members[0][0], [p.payload for p in pendings]
-                )
-            except (WorkerLostError, ReproError) as exc:
-                if isinstance(exc, WorkerLostError):
-                    self.counters["worker_lost_replies"] += len(pendings)
-                    reply = protocol.error_reply(f"worker-lost: {exc}")
+                if self._pool is not None:
+                    submit = self._pool.submit_fast if fast else self._pool.submit
+                    outcome = await submit(members[0].key, payloads)
+                elif fast:
+                    outcome = fast_window(self.sessions, payloads)
                 else:
-                    reply = protocol.error_reply(str(exc))
-                now = time.perf_counter()
-                for pending in pendings:
-                    self._resolve_verify(pending, reply, now)
+                    outcome = verify_window(
+                        self.kgc.ctx.curve, self.kgc.scheme, self.batcher,
+                        payloads,
+                    )
+            except WorkerLostError as exc:
+                # The worker died or hung with this window in flight: the
+                # client gets a definite error now, never a hung future.
+                self.counters["worker_lost_replies"] += len(members)
+                failure = f"worker-lost: {exc}"
+            except Exception as exc:  # total: a bug must not kill the loop
+                failure = (
+                    str(exc) if isinstance(exc, ReproError)
+                    else f"internal error: {exc}"
+                )
+            else:
+                self._settle(members, outcome, started, fast)
                 return
-            replies = []
-            for kind, value in results:
-                if kind == "ok":
-                    valid = bool(value)
-                    key = "fast_verify_valid" if valid else "fast_verify_invalid"
-                    self.counters[key] += 1
-                    replies.append(protocol.verify_reply(valid))
-                else:
-                    detail = str(value)
-                    if detail == protocol.UNKNOWN_SESSION:
-                        self.counters["fast_verify_unknown_session"] += 1
-                    replies.append(protocol.error_reply(detail))
-            done = time.perf_counter()
-            for pending, reply in zip(pendings, replies):
-                self._resolve_verify(pending, reply, done)
-                self.registry.histogram("service.request_ms").observe(
-                    (done - pending.enqueued) * 1e3
-                )
+            reply = protocol.error_reply(failure)
+            now = time.perf_counter()
+            for pending in members:
+                self._resolve_verify(pending, reply, now)
         finally:
-            shutdown_reply: Optional[bytes] = None
-            for pending in pendings:
+            # Cancellation (hard stop) must not strand a reply future.
+            for pending in members:
                 if not pending.future.done():
-                    if shutdown_reply is None:
-                        shutdown_reply = protocol.error_reply(
-                            "server shutting down"
-                        )
-                    pending.future.set_result(shutdown_reply)
-
-    # -- verification -------------------------------------------------------
-    def _group_key(self, pending: _PendingVerify) -> Tuple[str, bytes]:
-        if pending.request is not None:
-            return (
-                pending.request.identity,
-                encode_g1(self.kgc.ctx.curve, pending.request.public_key),
-            )
-        return protocol.split_verify_payload(
-            self.kgc.ctx.curve, pending.payload
-        )
+                    pending.future.set_result(
+                        protocol.error_reply("server shutting down")
+                    )
 
     def _resolve_verify(
         self, pending: _PendingVerify, reply: bytes, now: float
@@ -851,232 +714,75 @@ class VerificationGateway:
                 )
         pending.future.set_result(reply)
 
-    def _verify_grouped(self, verifies: List[_PendingVerify]) -> None:
-        """Fold same-signer requests into one batch pairing each; a
-        window spanning several signers folds once via the randomized
-        cross-signer check instead of once per signer."""
-        groups: Dict[Tuple[str, bytes], List[_PendingVerify]] = {}
-        for pending in verifies:
-            groups.setdefault(self._group_key(pending), []).append(pending)
-        if len(groups) > 1:
-            self._verify_cross(verifies)
-            return
-        for (identity, _pk_blob), members in groups.items():
-            self.counters["verify_requests"] += len(members)
-            fold_started = time.perf_counter()
-            verdicts, pairing_s = self._verify_group(identity, members)
-            fold_s = time.perf_counter() - fold_started
-            serialize_started = time.perf_counter()
-            replies = []
-            for valid in verdicts:
-                self.counters["verify_valid" if valid else "verify_invalid"] += 1
-                replies.append(protocol.verify_reply(valid))
-            done = time.perf_counter()
-            for pending, reply in zip(members, replies):
-                self._resolve_verify(pending, reply, done)
-            self._account_group(
-                members, fold_started, fold_s, pairing_s,
-                serialize_started, done - serialize_started, done,
-            )
-
-    def _verify_cross(self, verifies: List[_PendingVerify]) -> None:
-        """Fold one in-process mixed-signer window with random weights."""
-        self.counters["verify_requests"] += len(verifies)
-        self.counters["cross_signer_folds"] += 1
-        self.counters["cross_signer_requests"] += len(verifies)
-        self.registry.histogram("service.cross_fold_size").observe(
-            len(verifies)
-        )
-        fold_started = time.perf_counter()
-        items = [
-            (
-                p.request.message,
-                p.request.signature,
-                p.request.identity,
-                p.request.public_key,
-            )
-            for p in verifies
-        ]
-        try:
-            verdicts, fold_stats = self.batcher.verify_cross_signer(items)
-            self.counters["cross_bisections"] += int(
-                fold_stats.get("bisections", 0)
-            )
-        except (ReproError, ValueError, ZeroDivisionError, ArithmeticError):
-            # content the fold cannot even weigh: settle exactly per item
-            self.counters["batch_fallbacks"] += 1
-            verdicts = [self._verify_one(p.request) for p in verifies]
-        pairing_s = time.perf_counter() - fold_started
-        fold_s = pairing_s
-        serialize_started = time.perf_counter()
-        replies = []
-        for valid in verdicts:
-            self.counters["verify_valid" if valid else "verify_invalid"] += 1
-            replies.append(protocol.verify_reply(valid))
-        done = time.perf_counter()
-        for pending, reply in zip(verifies, replies):
-            self._resolve_verify(pending, reply, done)
-        self._account_group(
-            verifies, fold_started, fold_s, pairing_s,
-            serialize_started, done - serialize_started, done,
-        )
-
-    def _dispatch_grouped(self, verifies: List[_PendingVerify]) -> None:
-        """Route verify windows to the worker pool (async verdicts).
-
-        A single-signer window keeps the same-signer fast path; a window
-        spanning several signers ships whole to one worker - affine to
-        the dominant signer's identity, so that signer's caches stay hot
-        - and folds there via the randomized cross-signer check.
-        """
-        groups: Dict[Tuple[str, bytes], List[_PendingVerify]] = {}
-        for pending in verifies:
-            groups.setdefault(self._group_key(pending), []).append(pending)
-        if len(groups) > 1:
-            # Split the mixed window along the pool's identity shards
-            # before submitting: a sub-window only ever contains signers
-            # the receiving worker owns, so that worker's anchor / Q_ID /
-            # Miller caches cover its partition of the population rather
-            # than every worker slowly admitting all identities.
-            shards: Dict[
-                int, Dict[Tuple[str, bytes], List[_PendingVerify]]
-            ] = {}
-            for key, members in groups.items():
-                shard = self._pool.shard_of(key[0])
-                shards.setdefault(shard, {})[key] = members
-            for shard_groups in shards.values():
-                if len(shard_groups) == 1:
-                    ((identity, _pk), members) = next(
-                        iter(shard_groups.items())
-                    )
-                    self._spawn_group_task(
-                        self._dispatch_group(identity, members)
-                    )
-                    continue
-                shard_members = [
-                    p for ms in shard_groups.values() for p in ms
-                ]
-                dominant = max(
-                    shard_groups.items(), key=lambda kv: len(kv[1])
-                )
-                self._spawn_group_task(
-                    self._dispatch_group(
-                        dominant[0][0], shard_members, cross=True
-                    )
-                )
-            return
-        for (identity, _pk_blob), members in groups.items():
-            self._spawn_group_task(self._dispatch_group(identity, members))
-
-    async def _dispatch_group(
+    def _settle(
         self,
-        identity: str,
         members: List[_PendingVerify],
-        *,
-        cross: bool = False,
+        outcome: tuple,
+        started: float,
+        fast: bool,
     ) -> None:
-        """One verify window's round trip through the worker pool."""
-        self.counters["verify_requests"] += len(members)
-        if cross:
-            self.counters["cross_signer_folds"] += 1
-            self.counters["cross_signer_requests"] += len(members)
-            self.registry.histogram("service.cross_fold_size").observe(
-                len(members)
-            )
-        elif len(members) > 1:
-            self.counters["batches"] += 1
-            self.counters["batched_requests"] += len(members)
-        fold_started = time.perf_counter()
-        try:
-            try:
-                fold_stats: Optional[dict] = None
-                if cross:
-                    results, pairing_s, fallback, fold_stats = (
-                        await self._pool.submit_cross(
-                            identity, [p.payload for p in members]
-                        )
-                    )
-                else:
-                    results, pairing_s, fallback = await self._pool.submit(
-                        identity, [p.payload for p in members]
-                    )
-            except WorkerLostError as exc:
-                # The worker died or hung with this group in flight: the
-                # client gets a definite error now, never a hung future.
-                self.counters["worker_lost_replies"] += len(members)
-                reply = protocol.error_reply(f"worker-lost: {exc}")
-                now = time.perf_counter()
-                for pending in members:
-                    self._resolve_verify(pending, reply, now)
-                return
-            except ReproError as exc:
-                reply = protocol.error_reply(str(exc))
-                now = time.perf_counter()
-                for pending in members:
-                    self._resolve_verify(pending, reply, now)
-                return
-            if fallback:
-                self.counters["batch_fallbacks"] += 1
-            if fold_stats:
-                self.counters["cross_bisections"] += int(
+        """Reply to one finished window and account for it: counters and
+        the request histogram, plus for VERIFY windows the stage
+        histograms, trace spans and the process-registry counter."""
+        counters = self.counters
+        registry = self.registry
+        results, crypto_s = outcome[0], outcome[1]
+        fold_s = time.perf_counter() - started
+        if not fast:
+            fallback, fold_stats = outcome[2], outcome[3]
+            counters["verify_requests"] += len(members)
+            counters["batch_fallbacks"] += int(fallback)
+            if fold_stats is not None:
+                counters["cross_signer_folds"] += 1
+                counters["cross_signer_requests"] += len(members)
+                counters["cross_bisections"] += int(
                     fold_stats.get("bisections", 0)
                 )
-            fold_s = time.perf_counter() - fold_started
-            serialize_started = time.perf_counter()
-            replies = []
-            for kind, value in results:
-                if kind == "ok":
-                    valid = bool(value)
-                    key = "verify_valid" if valid else "verify_invalid"
-                    self.counters[key] += 1
-                    replies.append(protocol.verify_reply(valid))
-                else:
-                    replies.append(protocol.error_reply(str(value)))
-            done = time.perf_counter()
-            for pending, reply in zip(members, replies):
-                self._resolve_verify(pending, reply, done)
-            self._account_group(
-                members, fold_started, fold_s, pairing_s,
-                serialize_started, done - serialize_started, done,
-            )
-        finally:
-            # Cancellation (hard stop) must not strand a reply future.
-            shutdown_reply: Optional[bytes] = None
-            for pending in members:
-                if not pending.future.done():
-                    if shutdown_reply is None:
-                        shutdown_reply = protocol.error_reply(
-                            "server shutting down"
-                        )
-                    pending.future.set_result(shutdown_reply)
-
-    def _account_group(
-        self,
-        members: List[_PendingVerify],
-        fold_started: float,
-        fold_s: float,
-        pairing_s: float,
-        serialize_started: float,
-        serialize_s: float,
-        done: float,
-    ) -> None:
-        """Stage histograms, trace spans and the process-registry counter
-        for one answered same-signer group."""
-        registry = self.registry
-        tracer = self.tracer
-        registry.histogram("service.verify_ms").observe(pairing_s * 1e3)
+                registry.histogram("service.cross_fold_size").observe(
+                    len(members)
+                )
+            elif len(members) > 1:
+                counters["batches"] += 1
+                counters["batched_requests"] += len(members)
+        verdict = "fast_verify_" if fast else "verify_"
+        serialize_started = time.perf_counter()
+        replies = []
+        for kind, value in results:
+            if kind == "err":
+                counters[
+                    "fast_verify_unknown_session"
+                    if value == protocol.UNKNOWN_SESSION
+                    else "protocol_errors"
+                ] += 1
+                replies.append(protocol.error_reply(str(value)))
+                continue
+            if kind == "replay":
+                counters["fast_verify_replays"] += 1
+            counters[verdict + ("valid" if value else "invalid")] += 1
+            replies.append(protocol.verify_reply(bool(value)))
+        done = time.perf_counter()
+        for pending, reply in zip(members, replies):
+            self._resolve_verify(pending, reply, done)
+        request_ms = registry.histogram("service.request_ms")
+        for pending in members:
+            request_ms.observe((done - pending.enqueued) * 1e3)
+        if fast:
+            # A MAC window has no fold or pairing stage to report, and it
+            # is often one request: three more histogram observations
+            # would cost about a tenth of the gateway's time per request.
+            return
+        serialize_s = done - serialize_started
+        registry.histogram("service.verify_ms").observe(crypto_s * 1e3)
         registry.histogram("service.batch_fold_ms").observe(fold_s * 1e3)
         registry.histogram("service.serialize_ms").observe(serialize_s * 1e3)
+        tracer = self.tracer
         for pending in members:
-            registry.histogram("service.request_ms").observe(
-                (done - pending.enqueued) * 1e3
-            )
             if pending.trace_id is None or not tracer.enabled:
                 continue
             tid = pending.trace_id
-            # One stage tree per traced verify, all under its trace
-            # id; the fold/pairing durations are shared by the whole
-            # same-signer group (that sharing IS the batching win).
+            # One stage tree per traced request, all under its trace id;
+            # the fold/crypto durations are shared by the whole window
+            # (that sharing IS the batching win).
             tracer.record(
                 "server.request",
                 trace_id=tid,
@@ -1090,7 +796,7 @@ class VerificationGateway:
                 trace_id=tid,
                 span_id=f"{tid}/batch_fold",
                 parent_id=f"{tid}/request",
-                start_s=fold_started,
+                start_s=started,
                 dur_s=fold_s,
                 batch=len(members),
             )
@@ -1099,8 +805,8 @@ class VerificationGateway:
                 trace_id=tid,
                 span_id=f"{tid}/pairing",
                 parent_id=f"{tid}/batch_fold",
-                start_s=fold_started,
-                dur_s=pairing_s,
+                start_s=started,
+                dur_s=crypto_s,
             )
             tracer.record(
                 "server.serialize",
@@ -1114,38 +820,6 @@ class VerificationGateway:
         if process_registry.active:
             process_registry.counter("service.verifies").inc(len(members))
 
-    def _verify_group(
-        self, identity: str, members: List[_PendingVerify]
-    ) -> Tuple[List[bool], float]:
-        """Verdicts for one (identity, public key) group, in order, plus
-        the crypto (pairing) seconds the group cost."""
-        public_key = members[0].request.public_key
-        started = time.perf_counter()
-        if len(members) == 1:
-            verdicts = [self._verify_one(members[0].request)]
-            return verdicts, time.perf_counter() - started
-        self.counters["batches"] += 1
-        self.counters["batched_requests"] += len(members)
-        items = [(p.request.message, p.request.signature) for p in members]
-        try:
-            if self.batcher.verify_same_signer(items, identity, public_key):
-                return [True] * len(members), time.perf_counter() - started
-        except (ReproError, ValueError, ZeroDivisionError, ArithmeticError):
-            pass  # hostile batch content: settle per item below
-        # At least one member is bad (or the aggregate check could not
-        # run): fall back to exact per-item verification.
-        self.counters["batch_fallbacks"] += 1
-        verdicts = [self._verify_one(p.request) for p in members]
-        return verdicts, time.perf_counter() - started
-
-    def _verify_one(self, request: protocol.VerifyRequest) -> bool:
-        return self.kgc.scheme.verify(
-            request.message,
-            request.signature,
-            request.identity,
-            request.public_key,
-        )
-
     # -- introspection ------------------------------------------------------
     def _params(self) -> dict:
         scheme = self.kgc.scheme
@@ -1155,6 +829,17 @@ class VerificationGateway:
             scheme.p_pub_g1,
             scheme.p_pub_g2,
             backend=self.kgc.ctx.backend.name,
+        )
+
+    def _worker_params(self) -> dict:
+        """The params document workers build from: the public params
+        plus the bounds of each worker's session shard."""
+        return dict(
+            self._params(),
+            sessions={
+                "capacity": self.sessions.capacity,
+                "ttl_s": self.sessions.ttl_s,
+            },
         )
 
     #: the stage histograms STATS/METRICS report (stable metric names)
@@ -1180,6 +865,7 @@ class VerificationGateway:
         """Counters, bounded-cache accounting and server-side stage
         latency summaries (the STATS reply)."""
         registry = self.registry
+        self.sessions.prune(time.monotonic())
         document = {
             "schema_version": STATS_SCHEMA_VERSION,
             "counters": dict(self.counters),
@@ -1240,6 +926,7 @@ class VerificationGateway:
         )
         renderer.gauge("service.queue_size", self.queue_size)
         renderer.gauge("service.enrolled", len(self.kgc.issued_identities()))
+        self.sessions.prune(time.monotonic())
         renderer.gauge("service.sessions_active", len(self.sessions))
         renderer.counter(
             "service.session_evictions", self.sessions.evictions

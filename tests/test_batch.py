@@ -131,6 +131,23 @@ class TestCrossSigner:
         assert stats["admitted_signers"] == 5
         assert stats["admission_pairings"] >= 1
 
+    def test_subgroup_check_runs_once_per_new_signer(self, setup, monkeypatch):
+        scheme, _, verifier = setup
+        signers = [scheme.generate_user_keys(f"g{i}@x") for i in range(3)]
+        calls = []
+        curve_type = type(scheme.ctx.curve)
+        in_g2 = curve_type.in_g2
+        monkeypatch.setattr(
+            curve_type, "in_g2",
+            lambda curve, point: calls.append(point) or in_g2(curve, point),
+        )
+        verdicts, stats = verifier.verify_cross_signer(
+            _cross_items(scheme, signers, 24)
+        )
+        assert verdicts == [True] * 24
+        assert stats["admitted_signers"] == 3
+        assert len(calls) == 3  # one order-n check per signer, not per item
+
     def test_empty_window(self, setup):
         _, _, verifier = setup
         verdicts, stats = verifier.verify_cross_signer([])

@@ -343,6 +343,111 @@ class TestMicroBatching:
         gateway_test(body)
 
 
+def _parity_corpus():
+    """Raw VERIFY payloads by section, signed under the seed-5 master key."""
+    source = VerificationGateway(curve=CURVE, seed=5)
+    scheme = source.kgc.scheme
+    keys = {name: source.kgc.enroll(name) for name in ("alice", "bob", "carol")}
+
+    def payload(name, message, signed=None):
+        return protocol.encode_verify_payload(
+            CURVE, name, keys[name].public_key, message,
+            scheme.sign(signed or message, keys[name]),
+        )
+
+    burst = [payload("alice", b"burst-%d" % i) for i in range(6)]
+    tampered = [payload("alice", b"tamper-%d" % i) for i in range(6)]
+    tampered[2] = payload("alice", b"tamper-2", signed=b"something else")
+    lone = payload("bob", b"lone")
+    # flip a bit of the public key's y coordinate: the routing split
+    # passes, the full decode finds the point off the curve
+    pk_end = len(protocol.encode_identity("bob")) + len(
+        protocol.split_verify_payload(CURVE, lone)[1]
+    )
+    off_curve = bytearray(lone)
+    off_curve[pk_end - 1] ^= 1
+    return {
+        "valid_burst": burst,
+        "tampered_burst": tampered,
+        "lone": [lone],
+        "mixed": [
+            payload(name, b"mixed-%d" % i)
+            for i, name in enumerate(["alice", "bob", "carol"] * 3)
+        ],
+        "off_curve": [bytes(off_curve)],
+        # cut inside the signature (full decode fails) and inside the
+        # identity (the routing split already fails)
+        "truncated": [lone[:-5], lone[:3]],
+    }
+
+
+async def _pipelined_replies(gateway, payloads):
+    """Write every VERIFY frame at once; the raw reply bodies in order."""
+    reader, writer = await asyncio.open_connection(gateway.host, gateway.port)
+    writer.write(
+        b"".join(
+            protocol.encode_frame(protocol.encode_request(Opcode.VERIFY, p))
+            for p in payloads
+        )
+    )
+    await writer.drain()
+    replies = []
+    for _ in payloads:
+        length = protocol.frame_length(await reader.readexactly(4))
+        replies.append(await reader.readexactly(length))
+    writer.close()
+    await writer.wait_closed()
+    return replies
+
+
+class TestCrossModeParity:
+    """In-process and pool gateways share one pipeline: same bytes out."""
+
+    COUNTERS = ("verify_valid", "verify_invalid", "protocol_errors")
+
+    def _run(self, corpus, workers):
+        async def body(gateway):
+            outcome = {}
+            for section, payloads in corpus.items():
+                before = dict(gateway.counters)
+                replies = await _pipelined_replies(gateway, payloads)
+                deltas = {
+                    name: gateway.counters[name] - before[name]
+                    for name in self.COUNTERS + ("batch_fallbacks",)
+                }
+                outcome[section] = (replies, deltas)
+            return outcome
+
+        return gateway_test(body, workers=workers)
+
+    def test_inline_and_pool_replies_and_counters_match(self):
+        corpus = _parity_corpus()
+        inline = self._run(corpus, workers=0)
+        pooled = self._run(corpus, workers=2)
+        for section in corpus:
+            replies, deltas = inline[section]
+            pool_replies, pool_deltas = pooled[section]
+            assert replies == pool_replies, section
+            for name in self.COUNTERS:
+                assert deltas[name] == pool_deltas[name], (section, name)
+        valid = protocol.verify_reply(True)
+        invalid = protocol.verify_reply(False)
+        replies, deltas = inline["valid_burst"]
+        assert replies == [valid] * 6 and deltas["batch_fallbacks"] == 0
+        replies, _ = inline["tampered_burst"]
+        assert replies == [valid, valid, invalid, valid, valid, valid]
+        assert inline["tampered_burst"][1]["batch_fallbacks"] >= 1
+        assert pooled["tampered_burst"][1]["batch_fallbacks"] >= 1
+        assert inline["lone"][0] == [valid]
+        assert inline["mixed"][0] == [valid] * 9
+        for section in ("off_curve", "truncated"):
+            replies, deltas = inline[section]
+            assert all(
+                protocol.decode_reply(r)[0] == Status.ERR for r in replies
+            ), section
+            assert deltas["protocol_errors"] == len(replies), section
+
+
 class TestBackpressure:
     def test_overflow_is_answered_busy(self):
         """With the consumer paused, requests beyond the bounded queue get

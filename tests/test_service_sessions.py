@@ -254,7 +254,9 @@ class TestInProcessFastPath:
 
         gateway_test(body, session_capacity=1)
 
-    def test_session_ttl_expiry_forces_rehandshake(self):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_session_ttl_expiry_forces_rehandshake(self, workers):
+        # with workers the TTL binds each worker's session shard too
         async def body(gateway):
             client, _ = await established_client(gateway)
             try:
@@ -268,7 +270,7 @@ class TestInProcessFastPath:
             finally:
                 await client.close()
 
-        gateway_test(body, session_ttl_s=0.2)
+        gateway_test(body, session_ttl_s=0.2, workers=workers)
 
 
 class TestRekeyInvalidation:
