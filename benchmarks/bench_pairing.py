@@ -218,7 +218,7 @@ def bench_scalar_mult(name: str, curve) -> dict:
     glv_ops, glv_time, glv_vals = _measure(decomposed, repeats=3)
     if not (ladder_vals == wnaf_vals == glv_vals):
         raise SystemExit(f"{name}: scalar-mult strategies disagree on values")
-    kernel = curve.spec.backend.point_kernel(curve)
+    kernel = curve.spec.backend.pairing_kernel(curve)
     return {
         "scalars": len(scalars),
         "glv_available": params is not None,

@@ -111,8 +111,8 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
         "--backend",
         metavar="NAME",
         default=None,
-        help="field-arithmetic backend (reference, native, montgomery, "
-        "gmpy2); default: $REPRO_FIELD_BACKEND or 'reference'",
+        help="field-arithmetic backend (reference, native, gmpy2); "
+        "default: $REPRO_FIELD_BACKEND or 'reference'",
     )
 
 

@@ -14,10 +14,10 @@ Design contract with the pure-Python tower:
   :func:`repro.pairing.pairing._miller_loop_projective`,
   :func:`~repro.pairing.pairing.final_exponentiation` and the field
   formulas of :mod:`repro.pairing.fields` operation for operation
-  (internally in 4x64-limb Montgomery form, the representation specified
-  by :mod:`repro.pairing._mont`), so raw Miller values and GT outputs are
-  byte-identical to the reference backend - not merely equal as group
-  elements.
+  (internally in 4x64-limb Montgomery form with ``R = 2^256``; the
+  constants come from :class:`_Montgomery` below), so raw Miller values
+  and GT outputs are byte-identical to the reference backend - not
+  merely equal as group elements.
 * **Count identity.**  Every C helper bumps a counter block using the
   *same rules* as the Python tower methods (e.g. an Fp2 x Fp2 product is
   ``fp2_mul += 1, fp_mul += 3`` whatever the internal algorithm), and the
@@ -49,11 +49,11 @@ from typing import Optional, Tuple
 
 from repro.obs import runtime as _rt
 from repro.obs.registry import get_registry
-from repro.pairing._mont import MontgomeryDomain
 
 #: fixed limb count: every supported prime fits 4 x 64 bits
 _NLIMBS = 4
 _LIMB_BYTES = 32
+_R_BITS = 64 * _NLIMBS
 
 #: counter-block slots, mirroring repro.obs.runtime.FieldOpTally names
 _TALLY_SLOTS = (
@@ -1232,6 +1232,25 @@ def _limbs(value: int):
     return [(value >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(_NLIMBS)]
 
 
+class _Montgomery:
+    """The C core's Montgomery constants for ``p``, with ``R = 2^256``.
+
+    ``np_ = -p^-1 mod 2^64`` drives the word-wise (CIOS) REDC and
+    ``r2 = R^2 mod p`` converts inside C; :meth:`to_mont` converts here.
+    """
+
+    __slots__ = ("p", "np_", "r2")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.np_ = -pow(p, -1, 1 << 64) % (1 << 64)
+        self.r2 = pow(2, 2 * _R_BITS, p)
+
+    def to_mont(self, a: int) -> int:
+        """Canonical residue -> Montgomery form ``a * R mod p``."""
+        return (int(a) << _R_BITS) % self.p
+
+
 def _fp_from_bytes(raw: bytes, index: int) -> int:
     start = index * _LIMB_BYTES
     return int.from_bytes(raw[start:start + _LIMB_BYTES], "little")
@@ -1248,7 +1267,7 @@ def _selftest(ffi, lib) -> None:
     while not (is_probable_prime(p) and p % 4 == 3):
         p -= 2
     ctx = ffi.new("bnctx *")
-    dom = MontgomeryDomain(p, nwords=_NLIMBS)
+    dom = _Montgomery(p)
     ctx.p.c = _limbs(p)
     ctx.np = dom.np_
     ctx.r2.c = _limbs(dom.r2)
@@ -1279,7 +1298,7 @@ class PairingKernel:
         self._tables_ready = False
         spec = curve.spec
         p = int(spec.p)
-        dom = MontgomeryDomain(p, nwords=_NLIMBS)
+        dom = _Montgomery(p)
         self._dom = dom
         ctx = ffi.new("bnctx *")
         ctx.p.c = _limbs(p)

@@ -4,8 +4,10 @@ Mirrors :mod:`repro.schemes.registry`: backends are looked up by name,
 constructed lazily, and validated before use.  A backend decides how the
 scalar layer of the tower computes — modular exponentiation, inversion,
 the integer type carried by :class:`~repro.pairing.fields.FieldSpec` —
-and may provide a compiled *pairing kernel* that executes whole Miller
-loops and final exponentiations natively.  Whatever the backend, values
+and may provide a compiled kernel (its one hook,
+:meth:`~repro.pairing.fields.FieldBackend.pairing_kernel`) that executes
+whole Miller loops, final exponentiations and G1/G2 multi-scalar
+multiplications natively.  Whatever the backend, values
 and obs counters are bit-identical to the ``reference`` tower; backends
 trade wall time, never semantics.
 
@@ -16,7 +18,7 @@ Selection precedence (highest first):
 2. the ``REPRO_FIELD_BACKEND`` environment variable;
 3. the ``reference`` default.
 
-Registered names:
+The three registered names:
 
 ``reference``
     The pure-Python tower exactly as shipped; always available.
@@ -25,10 +27,6 @@ Registered names:
     the cffi-compiled Montgomery pairing kernel when a C toolchain is
     available; degrades to pure Python (with a recorded flavor) so it is
     always *selectable*, merely not always *fast*.
-``montgomery``
-    Pure-Python word-wise REDC ladders (:mod:`repro.pairing._mont`) for
-    ``powmod``/``invmod``; the dependency-free executable specification
-    of the representation the kernel uses, not a speed claim.
 ``gmpy2``
     Strict gmpy2 backend; unavailable (with reason) when gmpy2 is not
     installed.
@@ -58,39 +56,6 @@ class ReferenceBackend(FieldBackend):
     """The pure-Python tower; the value oracle every other backend matches."""
 
     name = "reference"
-
-
-class MontgomeryBackend(FieldBackend):
-    """Pure-Python Montgomery ladders for the scalar hot paths.
-
-    Routes ``powmod``/``invmod`` through :class:`MontgomeryDomain` so the
-    ``final_exp_hard`` chains run square-and-multiply entirely inside the
-    Montgomery domain.  Single multiplies stay on builtin big-ints (see
-    the honesty note in :mod:`repro.pairing._mont`).
-    """
-
-    name = "montgomery"
-
-    def availability(self) -> Tuple[bool, str]:
-        """Always available; pure Python, no dependencies."""
-        return True, "always available (pure-Python REDC)"
-
-    def powmod(self, base, exponent, modulus):
-        """Square-and-multiply inside the Montgomery domain of ``modulus``."""
-        if exponent < 0:
-            from repro.pairing import _mont
-
-            dom = _mont.domain(int(modulus))
-            return dom.powmod(dom.invmod(int(base)), -exponent)
-        from repro.pairing import _mont
-
-        return _mont.domain(int(modulus)).powmod(int(base), int(exponent))
-
-    def invmod(self, value, modulus):
-        """Fermat inverse via the Montgomery ladder (modulus must be prime)."""
-        from repro.pairing import _mont
-
-        return _mont.domain(int(modulus)).invmod(int(value))
 
 
 class NativeBackend(FieldBackend):
@@ -178,10 +143,6 @@ class NativeBackend(FieldBackend):
         self._kernels[key] = kernel
         return kernel
 
-    def point_kernel(self, curve):
-        """The compiled kernel doubles as the point-arithmetic engine."""
-        return self.pairing_kernel(curve)
-
 
 class Gmpy2Backend(NativeBackend):
     """Strict gmpy2 backend: refuses to run without the real library."""
@@ -207,16 +168,9 @@ class Gmpy2Backend(NativeBackend):
 _FACTORIES: Dict[str, Callable[[], FieldBackend]] = {
     "reference": ReferenceBackend,
     "native": NativeBackend,
-    "montgomery": MontgomeryBackend,
     "gmpy2": Gmpy2Backend,
 }
 _INSTANCES: Dict[str, FieldBackend] = {}
-
-
-def register_backend(name: str, factory: Callable[[], FieldBackend]) -> None:
-    """Register a backend factory under ``name`` (overwrites allowed)."""
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
 
 
 def backend_names() -> Tuple[str, ...]:
@@ -238,11 +192,6 @@ def get_backend(name: str) -> FieldBackend:
     instance = _INSTANCES.get(name)
     if instance is None:
         instance = _INSTANCES[name] = _FACTORIES[name]()
-        if not isinstance(instance, FieldBackend):
-            raise BackendError(
-                f"backend factory {name!r} returned {type(instance).__name__}, "
-                "not a FieldBackend"
-            )
     return instance
 
 

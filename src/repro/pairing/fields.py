@@ -26,7 +26,7 @@ tests rely on this).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from repro.errors import FieldError
 from repro.obs import runtime as _rt
@@ -48,7 +48,7 @@ class FieldBackend:
 
     ``modulus`` arguments of :meth:`powmod`/:meth:`invmod` are always the
     base-field prime ``p`` of a :class:`FieldSpec`, so backends may use
-    prime-only algorithms (Fermat inversion, Montgomery ladders).
+    prime-only algorithms (Fermat inversion).
     """
 
     #: registry name; concrete backends override this
@@ -79,19 +79,11 @@ class FieldBackend:
     def pairing_kernel(self, curve):
         """A compiled pairing kernel for ``curve``, or ``None``.
 
-        Returning ``None`` keeps the pure-Python Miller loop / final
-        exponentiation; a non-None kernel is used by
-        :mod:`repro.pairing.pairing` for whole-stage native execution.
-        """
-        return None
-
-    def point_kernel(self, curve):
-        """A compiled point-arithmetic kernel for ``curve``, or ``None``.
-
-        A non-None kernel (the same object as :meth:`pairing_kernel` for
-        the native backend) lets :mod:`repro.pairing.glv` run its
-        interleaved-wNAF multi-scalar multiplications natively, with
-        bit- and count-identical results to the reference column walk.
+        Returning ``None`` keeps the pure-Python Miller loop, final
+        exponentiation and MSM column walk.  A non-None kernel is used by
+        :mod:`repro.pairing.pairing` for whole-stage native execution and
+        by :mod:`repro.pairing.glv` for its interleaved-wNAF multi-scalar
+        multiplications, bit- and count-identical to the reference paths.
         """
         return None
 
@@ -115,9 +107,7 @@ class FieldSpec:
     ``backend`` selects the base-field arithmetic strategy (a
     :class:`FieldBackend` instance or a registered name); omitted, it
     resolves through :func:`repro.pairing.backends.resolve_backend`, which
-    honours the ``REPRO_FIELD_BACKEND`` environment default.  The legacy
-    positional form ``FieldSpec(p, xi_a)`` bypasses backend selection and
-    is deprecated (it warns once and resolves the default backend).
+    honours the ``REPRO_FIELD_BACKEND`` environment default.
     """
 
     __slots__ = ("p", "xi_a", "fp12_mod_c0", "fp12_mod_c6", "backend")
@@ -125,27 +115,10 @@ class FieldSpec:
     def __init__(
         self,
         p: int,
-        *legacy_args: int,
-        xi_a: Optional[int] = None,
+        *,
+        xi_a: int,
         backend=None,
     ):
-        if legacy_args:
-            if xi_a is not None or len(legacy_args) != 1:
-                raise TypeError(
-                    "FieldSpec takes (p, *, xi_a=..., backend=...); the"
-                    " positional form accepts exactly FieldSpec(p, xi_a)"
-                )
-            from repro import compat as _compat
-
-            _compat.warn_deprecated(
-                "positional FieldSpec(p, xi_a) bypasses field-backend"
-                " selection and is deprecated; construct with"
-                " FieldSpec(p, xi_a=..., backend=...) (or use"
-                " repro.compat.FieldSpec during migration)"
-            )
-            xi_a = legacy_args[0]
-        if xi_a is None:
-            raise TypeError("FieldSpec requires xi_a (keyword) to be given")
         if p % 4 != 3:
             raise FieldError("field tower requires p = 3 (mod 4) so i^2 = -1")
         if backend is None or isinstance(backend, str):

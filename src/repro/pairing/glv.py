@@ -454,14 +454,6 @@ def _signed_wnaf_digits(k: int):
     return _wnaf_digits(k, MSM_WINDOW)
 
 
-def _point_kernel(curve: BNCurve):
-    backend = curve.spec.backend
-    getter = getattr(backend, "point_kernel", None)
-    if getter is None:
-        return None
-    return getter(curve)
-
-
 def msm(
     curve: BNCurve,
     group_curve,
@@ -500,7 +492,7 @@ def _msm_dispatch(curve: BNCurve, points, digit_lists, ndigits, *, endo: bool):
     the rest are derived by the endomorphism map, on both paths, so kernel
     and reference tally identical op counts.
     """
-    kernel = _point_kernel(curve)
+    kernel = curve.spec.backend.pairing_kernel(curve)
     if kernel is not None and len(points) <= MSM_KERNEL_MAX_POINTS:
         sample = points[0].x
         if isinstance(sample, Fp):

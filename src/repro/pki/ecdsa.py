@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from repro.compat import warn_deprecated
 from repro.errors import SignatureError
 from repro.pairing.bn import BNCurve, default_test_curve
 from repro.pairing.curve import CurvePoint
@@ -120,16 +119,8 @@ class ECDSA:
         """Textbook ECDSA verification with full range checks.
 
         Unified protocol shape; the identity is accepted for uniformity and
-        ignored.  The pre-unification ``verify(message, signature,
-        public_key)`` call still works through a deprecation shim.
+        ignored.
         """
-        if public_key is None and isinstance(identity, CurvePoint):
-            warn_deprecated(
-                "ECDSA.verify(message, signature, public_key) is deprecated; "
-                "call verify(message, signature, identity, public_key) "
-                "(identity may be None)"
-            )
-            public_key, identity = identity, None
         if public_key is None:
             raise SignatureError("ECDSA.verify requires a public key")
         msg = normalize_message(message)

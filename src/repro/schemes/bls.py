@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.compat import warn_deprecated
 from repro.errors import SignatureError
 from repro.pairing.curve import CurvePoint
 from repro.pairing.groups import PairingContext
@@ -84,16 +83,8 @@ class BLSScheme:
         """Check e(sigma, P2) == e(H(M), PK).
 
         Unified protocol shape; the identity is accepted for uniformity and
-        ignored.  The pre-unification ``verify(message, signature,
-        public_key)`` call still works through a deprecation shim.
+        ignored.
         """
-        if public_key is None and isinstance(identity, CurvePoint):
-            warn_deprecated(
-                "BLSScheme.verify(message, signature, public_key) is "
-                "deprecated; call verify(message, signature, identity, "
-                "public_key) (identity may be None)"
-            )
-            public_key, identity = identity, None
         if public_key is None:
             raise SignatureError("BLS.verify requires a public key")
         msg = normalize_message(message)

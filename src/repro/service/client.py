@@ -283,16 +283,20 @@ class ServiceClient:
         trace_id: Optional[int] = None,
         deadline_ms: Optional[int] = None,
     ) -> None:
+        await self._write(
+            protocol.encode_frame(
+                protocol.encode_request(opcode, payload, trace_id, deadline_ms)
+            )
+        )
+
+    async def _write(self, *frames: bytes) -> None:
+        """Write and drain ``frames``; a broken stream closes the
+        connection and raises :class:`~repro.errors.ServiceConnectionLost`."""
         if self._writer is None:
             raise ServiceError("client is not connected")
         try:
-            self._writer.write(
-                protocol.encode_frame(
-                    protocol.encode_request(
-                        opcode, payload, trace_id, deadline_ms
-                    )
-                )
-            )
+            for frame in frames:
+                self._writer.write(frame)
             await self._writer.drain()
         except (ConnectionError, OSError) as exc:
             self.counters["connection_losses"] += 1
@@ -501,18 +505,16 @@ class ServiceClient:
             try:
                 if self._writer is None:
                     await self._reconnect()
-                for index in pending:
-                    self._writer.write(
+                await self._write(
+                    *(
                         protocol.encode_frame(
                             protocol.encode_request(
-                                Opcode.VERIFY,
-                                encoded[index],
-                                None,
-                                deadline_ms,
+                                Opcode.VERIFY, encoded[index], None, deadline_ms
                             )
                         )
+                        for index in pending
                     )
-                await self._writer.drain()
+                )
                 while unanswered:
                     status, payload = await self._read_reply()
                     index = unanswered.popleft()
@@ -530,21 +532,6 @@ class ServiceClient:
                         )
                 self._note_success()
                 pending.clear()
-            except (ConnectionError, OSError) as exc:
-                # write-side failure: normalise to the lost-connection path
-                self.counters["connection_losses"] += 1
-                await self.close()
-                exc = ServiceConnectionLost(f"connection lost: {exc}")
-                self._note_failure()
-                pending = unanswered
-                if attempt >= self.retry.attempts:
-                    for index in pending:
-                        outcomes[index] = VerifyOutcome(
-                            Status.ERR, detail=str(exc)
-                        )
-                    break
-                await self._backoff(attempt)
-                attempt += 1
             except (ServiceTimeout, ServiceConnectionLost) as exc:
                 self._note_failure()
                 pending = unanswered

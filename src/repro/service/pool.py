@@ -54,13 +54,16 @@ Wire format parent -> worker (pickled tuples over a duplex pipe):
 through :func:`fast_window` against the worker's session shard),
 ``("session", session_id, key, identity)`` (install one established
 session; the gateway sends it to the identity's shard owner),
-``("params", doc)`` (rebuild the verifier view and an empty session
-shard - a rekey kills every session key; ``doc["sessions"]`` carries the
-shard's ``capacity`` and ``ttl_s``), ``("ping", seq)``, ``("sleep",
-seconds)`` (a chaos/test hook simulating a hard hang) and ``("stop",)``.
-Worker -> parent: ``("ready", pid)``, ``("pong", seq)``, ``("done", id,
-outcome, cache_stats)`` (``outcome`` is the window function's return
-value) and ``("failed", id, detail)``.
+``("params", doc)`` (rebuild the verifier view and flush the session
+shard - a rekey kills every session key; the spawn document's
+``doc["sessions"]`` carries the shard's ``capacity`` and ``ttl_s``),
+``("ping", seq)``, ``("sleep", seconds)`` (a chaos/test hook simulating
+a hard hang) and ``("stop",)``.  Worker -> parent: ``("ready", pid)``,
+``("pong", seq, session_counts)``, ``("done", id, outcome, cache_stats,
+session_counts)`` (``outcome`` is the window function's return value;
+``session_counts`` is the shard's :meth:`SessionTable.counts`, pruned of
+idle expired sessions at each heartbeat) and ``("failed", id,
+detail)``.
 """
 
 from __future__ import annotations
@@ -195,6 +198,14 @@ class SessionTable:
         self._entries.clear()
         return flushed
 
+    def counts(self) -> Dict[str, int]:
+        """The ``active``/``evictions``/``expirations`` STATS reports."""
+        return {
+            "active": len(self._entries),
+            "evictions": self.evictions,
+            "expirations": self.expirations,
+        }
+
 
 def verify_window(
     curve, verifier, batcher: McCLSBatchVerifier, payloads: List[bytes]
@@ -307,11 +318,11 @@ def _worker_main(conn, params_doc: dict, cache_size: Optional[int]) -> None:
 
     def build(document: dict):
         curve, view = build_verifier_view(document, cache_size=cache_size)
-        shard = SessionTable(**document.get("sessions", {}))
-        return curve, view, McCLSBatchVerifier(view), shard
+        return curve, view, McCLSBatchVerifier(view)
 
     try:
-        curve, view, batcher, sessions = build(params_doc)
+        curve, view, batcher = build(params_doc)
+        sessions = SessionTable(**params_doc.get("sessions", {}))
         # cache accounting accumulated across params generations, so a
         # rekey (which rebuilds the context) does not reset the totals
         # the gateway's STATS report
@@ -323,14 +334,17 @@ def _worker_main(conn, params_doc: dict, cache_size: Optional[int]) -> None:
             if kind == "stop":
                 return
             if kind == "ping":
-                conn.send(("pong", message[1]))
+                # idle expired sessions are counted here, at heartbeat pace
+                sessions.prune(time.monotonic())
+                conn.send(("pong", message[1], sessions.counts()))
             elif kind == "params":
                 stats_base = merge_cache_stats(
                     stats_base, view.ctx.cache_stats()
                 )
                 # a rekey invalidated every issued partial key, so every
-                # session key derived from one dies with the old shard
-                curve, view, batcher, sessions = build(message[1])
+                # session key derived from one dies with it
+                curve, view, batcher = build(message[1])
+                sessions.flush()
                 conn.send(("ready", multiprocessing.current_process().pid))
             elif kind == "session":
                 _, session_id, key, identity = message
@@ -361,6 +375,7 @@ def _worker_main(conn, params_doc: dict, cache_size: Optional[int]) -> None:
                             merge_cache_stats(
                                 stats_base, view.ctx.cache_stats()
                             ),
+                            sessions.counts(),
                         )
                     )
                 except Exception as exc:  # total: one bad job != one worker
@@ -392,6 +407,7 @@ class _WorkerHandle:
         self.crash_streak = 0  # consecutive losses (backoff level)
         self.restart_at: Optional[float] = None
         self.cache_stats: Dict[str, Dict[str, int]] = {}
+        self.session_counts: Dict[str, int] = {}
         self.jobs_done = 0
 
     @property
@@ -678,10 +694,12 @@ class VerifyWorkerPool:
                 self._ready_event.set()
         elif kind == "pong":
             handle.last_pong = now
+            handle.session_counts = message[2]
         elif kind == "done":
-            _, job_id, outcome, cache_stats = message
+            _, job_id, outcome, cache_stats, session_counts = message
             handle.last_pong = now
             handle.cache_stats = cache_stats
+            handle.session_counts = session_counts
             entry = handle.pending.pop(job_id, None)
             if entry is not None:
                 future, _started = entry
@@ -772,6 +790,14 @@ class VerifyWorkerPool:
         return merge_cache_stats(
             *(h.cache_stats for h in self._handles if h.cache_stats)
         )
+
+    def worker_session_counts(self) -> Dict[str, int]:
+        """Latest known session-shard counts summed across workers."""
+        total = {"active": 0, "evictions": 0, "expirations": 0}
+        for handle in self._handles:
+            for key, value in handle.session_counts.items():
+                total[key] += value
+        return total
 
     def stats(self) -> dict:
         """Pool counters, supervision tallies and per-worker state."""

@@ -41,8 +41,8 @@ of constrained clients:
   backoff.  REKEY broadcasts the new params to every worker before its
   reply is sent, so any verify pipelined after the rekey reply sees the
   new master key.  Each worker holds the fast-path sessions of its
-  shard with the gateway's capacity and TTL; the gateway's own table
-  then serves as the registry STATS reports.
+  shard with the gateway's capacity and TTL, and STATS ``sessions``
+  sums the shards' own counters.
 
 * **Deadline enforcement.**  A request whose opcode byte carries
   :data:`~repro.service.protocol.DEADLINE_FLAG` names its time budget;
@@ -205,7 +205,7 @@ class VerificationGateway:
         #: established fast-path sessions: the one shard fast_window
         #: checks inline; with a worker pool each session is also
         #: installed in its identity shard's worker, which checks it
-        #: there, and this table is the registry STATS reports
+        #: there and whose shard counters STATS reports
         self.sessions = SessionTable(
             capacity=session_capacity, ttl_s=session_ttl_s
         )
@@ -861,11 +861,20 @@ class VerificationGateway:
             self.kgc.ctx.cache_stats(), self._pool.worker_cache_stats()
         )
 
+    def session_counts(self) -> Dict[str, int]:
+        """Live sessions plus eviction/expiry counters: the gateway's own
+        table inline, the sum of the workers' shards with a pool (there
+        the gateway's table is only a registry no shard follows)."""
+        if self._pool is not None:
+            return self._pool.worker_session_counts()
+        self.sessions.prune(time.monotonic())
+        return self.sessions.counts()
+
     def stats(self) -> dict:
         """Counters, bounded-cache accounting and server-side stage
         latency summaries (the STATS reply)."""
         registry = self.registry
-        self.sessions.prune(time.monotonic())
+        sessions = self.session_counts()
         document = {
             "schema_version": STATS_SCHEMA_VERSION,
             "counters": dict(self.counters),
@@ -887,12 +896,12 @@ class VerificationGateway:
                 ).summary(),
             },
             "sessions": {
-                "active": len(self.sessions),
+                "active": sessions["active"],
                 "capacity": self.sessions.capacity,
                 "ttl_s": self.sessions.ttl_s,
                 "established": self.counters["sessions_established"],
-                "evictions": self.sessions.evictions,
-                "expirations": self.sessions.expirations,
+                "evictions": sessions["evictions"],
+                "expirations": sessions["expirations"],
                 "killed_by_rekey": self.counters["sessions_killed_by_rekey"],
             },
         }
@@ -926,13 +935,11 @@ class VerificationGateway:
         )
         renderer.gauge("service.queue_size", self.queue_size)
         renderer.gauge("service.enrolled", len(self.kgc.issued_identities()))
-        self.sessions.prune(time.monotonic())
-        renderer.gauge("service.sessions_active", len(self.sessions))
+        sessions = self.session_counts()
+        renderer.gauge("service.sessions_active", sessions["active"])
+        renderer.counter("service.session_evictions", sessions["evictions"])
         renderer.counter(
-            "service.session_evictions", self.sessions.evictions
-        )
-        renderer.counter(
-            "service.session_expirations", self.sessions.expirations
+            "service.session_expirations", sessions["expirations"]
         )
         if self._pool is not None:
             pool_stats = self._pool.stats()

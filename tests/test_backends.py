@@ -1,4 +1,4 @@
-"""Pluggable field-backend tests: registry, precedence, shims, identity.
+"""Pluggable field-backend tests: registry, precedence, identity.
 
 The contract under test is the PR's headline guarantee: a backend may
 only change *how fast* field arithmetic runs, never *what it computes*
@@ -13,11 +13,10 @@ availability reason instead of silently passing.
 from __future__ import annotations
 
 import random
-import warnings
 
 import pytest
 
-from repro import compat, obs
+from repro import obs
 from repro.core.mccls import McCLS
 from repro.core.params import KeyGenerationCenter
 from repro.pairing import backends
@@ -58,9 +57,7 @@ class TestRegistry:
         assert backends.backend_names()[0] == "reference"
 
     def test_all_expected_backends_registered(self):
-        assert {"reference", "native", "montgomery", "gmpy2"} <= set(
-            backends.backend_names()
-        )
+        assert set(backends.backend_names()) == {"reference", "native", "gmpy2"}
 
     def test_unknown_backend_raises(self):
         with pytest.raises(backends.BackendError, match="unknown field backend"):
@@ -88,15 +85,15 @@ class TestPrecedence:
         assert backends.resolve_backend(None).name == "reference"
 
     def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "montgomery")
-        assert backends.resolve_backend(None).name == "montgomery"
+        monkeypatch.setenv(backends.ENV_VAR, "native")
+        assert backends.resolve_backend(None).name == "native"
 
     def test_kwarg_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "montgomery")
-        assert backends.resolve_backend("native").name == "native"
+        monkeypatch.setenv(backends.ENV_VAR, "native")
+        assert backends.resolve_backend("reference").name == "reference"
 
     def test_instance_passes_through(self):
-        instance = backends.get_backend("montgomery")
+        instance = backends.get_backend("native")
         assert backends.resolve_backend(instance) is instance
 
     def test_bad_env_value_raises(self, monkeypatch):
@@ -106,47 +103,21 @@ class TestPrecedence:
 
     def test_context_threads_backend_to_spec(self, monkeypatch):
         monkeypatch.delenv(backends.ENV_VAR, raising=False)
-        ctx = PairingContext(backend="montgomery")
-        assert ctx.backend.name == "montgomery"
-        assert ctx.curve.spec.backend.name == "montgomery"
+        ctx = PairingContext(backend="native")
+        assert ctx.backend.name == "native"
+        assert ctx.curve.spec.backend.name == "native"
 
     def test_kgc_accepts_backend(self):
-        kgc = KeyGenerationCenter(McCLS, seed=5, backend="montgomery")
-        assert kgc.ctx.backend.name == "montgomery"
+        kgc = KeyGenerationCenter(McCLS, seed=5, backend="native")
+        assert kgc.ctx.backend.name == "native"
 
-    def test_create_scheme_rebinds_backend(self):
+    def test_create_scheme_rebinds_backend(self, monkeypatch):
+        monkeypatch.delenv(backends.ENV_VAR, raising=False)
         ctx = PairingContext(rng=random.Random(5))
-        scheme = create_scheme("mccls", ctx, backend="montgomery")
-        assert scheme.ctx.backend.name == "montgomery"
+        scheme = create_scheme("mccls", ctx, backend="native")
+        assert scheme.ctx.backend.name == "native"
         # the caller's context is never mutated
         assert ctx.backend.name == "reference"
-
-
-class TestDeprecationShims:
-    def test_positional_fieldspec_warns_once(self):
-        compat.reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="positional FieldSpec"):
-            spec = FieldSpec(19, 1)
-        assert spec.xi_a == 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            FieldSpec(19, 1)  # second use is silent
-
-    def test_compat_fieldspec_shim(self):
-        compat.reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="migration shim"):
-            spec = compat.FieldSpec(19, 1)
-        assert spec == FieldSpec(19, xi_a=1)
-
-    def test_compat_fp_shim(self):
-        compat.reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="migration shim"):
-            element = compat.Fp(19, 7)
-        assert int(element.value) == 7
-
-    def test_positional_fieldspec_rejects_extra_args(self):
-        with pytest.raises(TypeError):
-            FieldSpec(19, 1, 2)
 
 
 @pytest.mark.parametrize("name", _backend_params())

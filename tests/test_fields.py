@@ -48,6 +48,10 @@ class TestFieldSpec:
         assert FieldSpec(P, xi_a=1) != FieldSpec(P, xi_a=2)
         assert hash(FieldSpec(P, xi_a=1)) == hash(FieldSpec(P, xi_a=1))
 
+    def test_xi_a_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            FieldSpec(P, 1)
+
 
 class TestFp:
     @given(fp_values, fp_values, fp_values)

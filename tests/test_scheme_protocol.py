@@ -3,22 +3,16 @@
 Every scheme the registry hands out - the Table 1 certificateless
 schemes, the hardened variant, and the IBS/BLS/ECDSA baselines - must
 drive through the same four calls: ``generate_user_keys``, ``sign``,
-``verify(message, signature, identity, public_key)``.  The deprecation
-shims keep the old positional-public-key ``verify`` calls working (with
-a one-time warning) while call sites migrate.
+``verify(message, signature, identity, public_key)``.
 """
 
 import random
-import warnings
 
 import pytest
 
-from repro import compat
 from repro.pairing.bn import toy_curve
 from repro.pairing.groups import PairingContext
-from repro.pki.ecdsa import ECDSA
 from repro.schemes.base import SchemeProtocol
-from repro.schemes.bls import BLSScheme
 from repro.schemes.registry import all_scheme_names, create_scheme
 from repro.schemes import registry as registry_mod
 
@@ -30,13 +24,6 @@ class NotAScheme:
 
     def __init__(self, ctx):
         pass
-
-
-@pytest.fixture(autouse=True)
-def fresh_shim_state():
-    compat.reset_deprecation_warnings()
-    yield
-    compat.reset_deprecation_warnings()
 
 
 class TestRegistry:
@@ -78,37 +65,3 @@ class TestRegistry:
         )
         with pytest.raises(TypeError, match="SchemeProtocol"):
             create_scheme("bogus", PairingContext(CURVE))
-
-
-class TestDeprecationShims:
-    def _signed(self, scheme_cls):
-        if scheme_cls is ECDSA:
-            scheme = ECDSA(CURVE, random.Random(7))
-        else:
-            scheme = scheme_cls(PairingContext(CURVE, random.Random(7)))
-        keys = scheme.generate_user_keys("bob@test")
-        return scheme, keys, scheme.sign(b"legacy call", keys)
-
-    @pytest.mark.parametrize("scheme_cls", [ECDSA, BLSScheme])
-    def test_positional_public_key_still_verifies(self, scheme_cls):
-        scheme, keys, signature = self._signed(scheme_cls)
-        with pytest.warns(DeprecationWarning, match="public_key"):
-            assert scheme.verify(b"legacy call", signature, keys.public_key)
-
-    @pytest.mark.parametrize("scheme_cls", [ECDSA, BLSScheme])
-    def test_shim_warns_only_once(self, scheme_cls):
-        scheme, keys, signature = self._signed(scheme_cls)
-        with pytest.warns(DeprecationWarning):
-            scheme.verify(b"legacy call", signature, keys.public_key)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert scheme.verify(b"legacy call", signature, keys.public_key)
-
-    @pytest.mark.parametrize("scheme_cls", [ECDSA, BLSScheme])
-    def test_new_call_shape_does_not_warn(self, scheme_cls):
-        scheme, keys, signature = self._signed(scheme_cls)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert scheme.verify(
-                b"legacy call", signature, "bob@test", keys.public_key
-            )

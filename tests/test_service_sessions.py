@@ -236,23 +236,35 @@ class TestInProcessFastPath:
 
         gateway_test(body)
 
-    def test_session_capacity_evicts_oldest(self):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_session_capacity_evicts_oldest(self, workers):
         async def body(gateway):
             first, _ = await established_client(gateway, "node-a")
-            second, _ = await established_client(gateway, "node-b")
+            second, _ = await established_client(gateway, "node-d")
             try:
-                # capacity 1: node-a's session was evicted by node-b's
                 assert await second.verify_fast(MSG) is True
+                if workers:
+                    # different shards, each holding up to the capacity:
+                    # both sessions stay live and STATS sums the shards
+                    pool = gateway.pool
+                    assert pool.shard_of("node-a") != pool.shard_of("node-d")
+                    assert await first.verify_fast(MSG) is True
+                    stats = await second.stats()
+                    assert stats["sessions"]["evictions"] == 0
+                    assert stats["sessions"]["active"] == 2
+                    assert stats["sessions"]["established"] == 2
+                    return
+                # capacity 1: node-a's session was evicted by node-d's
                 stats = await second.stats()
                 assert stats["sessions"]["evictions"] == 1
                 assert stats["sessions"]["active"] == 1
-                # node-a transparently re-handshakes (evicting node-b)
+                # node-a transparently re-handshakes (evicting node-d)
                 assert await first.verify_fast(MSG) is True
             finally:
                 await first.close()
                 await second.close()
 
-        gateway_test(body, session_capacity=1)
+        gateway_test(body, session_capacity=1, workers=workers)
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_session_ttl_expiry_forces_rehandshake(self, workers):
