@@ -636,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-size",
         type=int,
         default=4096,
-        help="bound on each pairing/Miller/comb-table LRU cache",
+        help="bound on each pairing/Miller LRU cache",
     )
     serve.add_argument(
         "--queue-size",

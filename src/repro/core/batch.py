@@ -433,7 +433,7 @@ class McCLSBatchVerifier:
             terms.append((anchors[key], weight))
         stats.folds += 1
         stats.fold_sizes.append(len(group))
-        # (sum d_i h_i^{-1} v_i)*P down the pinned comb table vs one MSM.
+        # (sum d_i h_i^{-1} v_i)*P on the GLV route vs one MSM.
         if ctx.g1_mul(ctx.g1, total) == ctx.g1_msm(terms):
             for item in group:
                 verdicts[item.index] = True

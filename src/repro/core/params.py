@@ -82,8 +82,8 @@ class KeyGenerationCenter:
         compromise or an outage): a fresh master secret invalidates every
         outstanding partial key, so all issued users are re-enrolled under
         the new one.  The scheme-level rotation also purges every cache
-        derived from the old P_pub - memoised constant pairings, stale
-        fixed-base comb tables, scheme-private signer caches - so the
+        derived from the old P_pub - memoised constant pairings and
+        scheme-private signer caches - so the
         first verify after a rekey runs cold *exactly once* per identity
         instead of reading stale material.  Returns the new public params
         (verifiers must refresh theirs).

@@ -133,9 +133,9 @@ class KGCOutage:
     compromise): on recovery the KGC rotates its master secret and
     re-issues every honest node's key material.  In real-crypto runs the
     rotation also invalidates every cache the old P_pub fed - memoised
-    e(P_pub, Q_ID) pairings, stale fixed-base comb tables, signer-side
-    S-component caches - so post-rekey verifies run cold exactly once per
-    identity instead of reading stale entries.
+    e(P_pub, Q_ID) pairings and signer-side S-component caches - so
+    post-rekey verifies run cold exactly once per identity instead of
+    reading stale entries.
     """
 
     start_s: float
@@ -459,7 +459,7 @@ class FaultInjector:
         """Rotate the KGC master secret and refresh every honest node.
 
         Real-crypto runs rotate the shared scheme exactly once (which
-        drops the old P_pub's pairing-cache entries and comb tables) and
+        drops the old P_pub's pairing-cache entries) and
         re-issue each node's key material under the new secret, updating
         the shared public-key directory.  Modelled runs have no key
         material to rotate but still record the event so plans behave

@@ -12,9 +12,9 @@ paper's authors would have used (MIRACL/charm-style).  Public surface:
 """
 
 from repro.pairing.bn import BNCurve, bn254, default_test_curve, toy_curve
-from repro.pairing.curve import PrecomputedPoint, point_key
+from repro.pairing.curve import point_key
 from repro.pairing.groups import PairingContext
-from repro.pairing.pairing import PairingEngine, multi_pairing, pairing
+from repro.pairing.pairing import multi_pairing, pairing
 
 __all__ = [
     "BNCurve",
@@ -23,8 +23,6 @@ __all__ = [
     "default_test_curve",
     "pairing",
     "multi_pairing",
-    "PairingEngine",
     "PairingContext",
-    "PrecomputedPoint",
     "point_key",
 ]

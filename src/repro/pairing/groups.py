@@ -5,20 +5,24 @@ Signature schemes route every expensive group operation through a
 Table 1 (pairings / scalar multiplications / exponentiations per sign and
 verify) by simply reading counters, and so the network simulator's crypto
 timing model can charge the exact operation mix.
+
+Every scalar multiplication takes one route (:meth:`PairingContext._mul`):
+the GLV/GLS endomorphism split for in-range subgroup scalars, else a
+one-term wNAF MSM, else ``point * scalar``.  No per-base tables are kept.
 """
 
 from __future__ import annotations
 
 import random
 import secrets
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.obs import runtime as _rt
 
 from repro.pairing import glv as _glv
 from repro.pairing.bn import BNCurve, default_test_curve
-from repro.pairing.curve import CurvePoint, PrecomputedPoint, point_key
+from repro.pairing.curve import CurvePoint, point_key
 from repro.pairing.fields import Fp12
 from repro.pairing.lru import LRUCache
 from repro.pairing.hashing import (
@@ -48,10 +52,6 @@ DEFAULT_CACHE_SIZE = 4096
 
 def _count_pairing_eviction() -> None:
     get_registry().counter("pairing.cache_evictions").inc()
-
-
-def _count_table_eviction() -> None:
-    get_registry().counter("precomp.table_evictions").inc()
 
 
 @dataclass
@@ -91,17 +91,10 @@ class OpCount:
 class PairingContext:
     """Bundle of curve + RNG + counters used by all signature schemes."""
 
-    #: A registered fixed base takes the comb fast path from its Nth
-    #: multiplication on; the first N-1 stay on the generic ladder so that
-    #: one-shot points (e.g. Q_ID during a single key extraction) never pay
-    #: for a table they will not amortise.
-    PRECOMP_BUILD_THRESHOLD = 2
-
     def __init__(
         self,
         curve: Optional[BNCurve] = None,
         rng: Optional[random.Random] = None,
-        precompute: bool = True,
         cache_size: int = DEFAULT_CACHE_SIZE,
         *,
         backend=None,
@@ -131,7 +124,6 @@ class PairingContext:
         # tests/campaigns.
         self.insecure_deterministic_batch = insecure_deterministic_batch
         self.ops = OpCount()
-        self.precompute_enabled = precompute
         self.cache_size = cache_size
         # Both memo caches are LRU-bounded: with more distinct identities
         # than cache_size the oldest constant pairings are evicted (counted
@@ -147,25 +139,14 @@ class PairingContext:
         self._miller_cache: LRUCache = LRUCache(
             cache_size, on_evict=_count_pairing_eviction
         )
-        # Fixed-base comb tables grow one entry per registered base (and
-        # q_of registers every identity it hashes), so they get the same
-        # bound; evicting a hot base only costs a table rebuild.
-        self._fixed_bases: LRUCache = LRUCache(
-            cache_size, on_evict=_count_table_eviction
-        )
         # Hash-to-G2 outputs (Q_ID and friends) keyed by (domain, items):
         # try-and-increment plus cofactor clearing is pure recomputation
         # for a repeat identity, and unlike the pairing caches the value
         # depends only on the curve — a KGC rekey does not invalidate it.
         # One entry is a single affine point (~a hundred bytes), orders of
-        # magnitude lighter than a comb table or an Fp12 Miller value, so
-        # it gets 8x the population bound of the heavyweight caches.
+        # magnitude lighter than an Fp12 Miller value, so it gets 8x the
+        # population bound of the pairing caches.
         self._hash_g2_cache: LRUCache = LRUCache(8 * cache_size)
-        # Pinned comb tables (generator / P_pub): every multiplication in
-        # the system hits these, so identity churn must never evict them.
-        # A plain dict outside the LRU — entered only via
-        # fixed_base(..., pin=True), removed only by drop_fixed_base.
-        self._pinned_bases: Dict = {}
 
     # -- basic accessors -------------------------------------------------------
     @property
@@ -201,51 +182,6 @@ class PairingContext:
         """k^-1 modulo the group order."""
         return inverse_mod(k, self.curve.n)
 
-    # -- fixed-base precomputation ---------------------------------------------
-    def fixed_base(self, point: CurvePoint, *, pin: bool = False) -> CurvePoint:
-        """Register ``point`` as a fixed base for comb precomputation.
-
-        Returns the point unchanged, so call sites keep ordinary
-        :class:`CurvePoint` values; subsequent :meth:`g1_mul`/:meth:`g2_mul`
-        calls on the same group element (matched by affine coordinates, not
-        object identity) route through a :class:`PrecomputedPoint` comb
-        table once the point has been multiplied often enough to amortise
-        the build.  No-op when precomputation is disabled for this context.
-
-        ``pin=True`` marks a system-lifetime base (the generators and
-        P_pub): its table lives outside the LRU and is never evicted by
-        per-identity churn — only :meth:`drop_fixed_base` (rekey) removes
-        it.  Pinning an already-registered base promotes its existing
-        table, warm state included.
-        """
-        if not self.precompute_enabled or point.is_infinity():
-            return point
-        key = point_key(point)
-        if pin:
-            if key not in self._pinned_bases:
-                handle = self._fixed_bases.pop(key)
-                if handle is None:
-                    handle = PrecomputedPoint(
-                        point, bits=self.curve.n.bit_length()
-                    )
-                self._pinned_bases[key] = handle
-            return point
-        if key in self._pinned_bases:
-            return point
-        if key not in self._fixed_bases:
-            self._fixed_bases[key] = PrecomputedPoint(
-                point, bits=self.curve.n.bit_length()
-            )
-        return point
-
-    def precomputed(self, point: CurvePoint) -> Optional[PrecomputedPoint]:
-        """The comb handle registered for ``point``, if any."""
-        key = point_key(point)
-        handle = self._pinned_bases.get(key)
-        if handle is not None:
-            return handle
-        return self._fixed_bases.get(key)
-
     def _mul(
         self,
         point: CurvePoint,
@@ -254,7 +190,7 @@ class PairingContext:
         g2: bool = False,
         in_subgroup: bool = False,
     ) -> CurvePoint:
-        """Scalar multiplication: comb fast path, then GLV, then generic.
+        """Scalar multiplication: GLV/GLS first, then the generic tail.
 
         The GLV/GLS route only fires for int scalars already in (0, n) —
         so unreduced-scalar semantics (order and membership checks going
@@ -264,20 +200,6 @@ class PairingContext:
         not hold for cofactor components, and hostile signature points are
         exactly the values that must keep bit-exact generic semantics.
         """
-        if self._pinned_bases or self._fixed_bases:
-            key = point_key(point)
-            handle = self._pinned_bases.get(key)
-            if handle is None:
-                handle = self._fixed_bases.get(key)
-            if handle is not None and handle.covers(scalar):
-                handle.uses += 1
-                if handle.built or handle.uses >= self.PRECOMP_BUILD_THRESHOLD:
-                    registry = get_registry()
-                    if not handle.built:
-                        registry.counter("precomp.table_builds").inc()
-                        handle.build()
-                    registry.counter("precomp.fast_mults").inc()
-                    return handle.mul(scalar)
         if not g2 or in_subgroup:
             result = _glv.try_mul(self.curve, point, scalar, g2=g2)
             if result is not None:
@@ -507,33 +429,17 @@ class PairingContext:
         self._miller_cache.clear()
 
     def drop_fixed_base(self, point: CurvePoint) -> None:
-        """Forget the comb table registered for ``point`` (if any).
+        """No-op, kept for callers written against the old comb registry.
 
-        Called on KGC rekey for the old P_pub: its table would otherwise
-        stay alive (and non-evictable while it keeps winning LRU
-        freshness) even though nothing will ever multiply that base again.
+        Scalar multiplication no longer keeps per-base tables, so there is
+        nothing to forget.  New code should not call this.
         """
-        if point.is_infinity():
-            return
-        key = point_key(point)
-        self._pinned_bases.pop(key, None)
-        self._fixed_bases.pop(key)
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Size/peak/hit/miss/eviction accounting of every bounded cache.
-
-        ``fixed_bases`` additionally reports ``pinned`` (tables living
-        outside the LRU: generators and P_pub) next to ``evictable`` (the
-        LRU population) so cache-pressure dashboards can see that identity
-        churn no longer touches the system bases.
-        """
-        fixed = self._fixed_bases.stats()
-        fixed["pinned"] = len(self._pinned_bases)
-        fixed["evictable"] = fixed["size"]
+        """Size/peak/hit/miss/eviction accounting of every bounded cache."""
         return {
             "pairing": self._pairing_cache.stats(),
             "miller": self._miller_cache.stats(),
-            "fixed_bases": fixed,
             "hash_g2": self._hash_g2_cache.stats(),
         }
 

@@ -94,10 +94,6 @@ class LRUCache:
         """Drop every entry (not counted as evictions; peak is kept)."""
         self._data.clear()
 
-    def pop(self, key, default=None):
-        """Remove and return one entry (not counted as an eviction)."""
-        return self._data.pop(key, default)
-
     def stats(self) -> dict:
         """size/bound/peak/hits/misses/evictions as a JSON-ready dict."""
         return {

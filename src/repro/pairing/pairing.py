@@ -11,13 +11,13 @@ part is the Devegili-Scott-Dahab addition chain over Granger-Scott
 cyclotomic squarings (conjugation is inversion there, so the chain is
 inversion-free).
 
-Public entry points are :func:`pairing`, :func:`multi_pairing` (a product
-of Miller loops under ONE shared final exponentiation) and
-:class:`PairingEngine`; the engine caches nothing by itself (caching of
-constant pairings is done by the scheme layer, mirroring the paper's
-"e(P_pub, Q_ID) is a constant" optimisation).  The pre-optimisation
-textbook path is retained in :mod:`repro.pairing.naive` as ground truth
-and as the fallback for degenerate (hostile-input) Miller steps.
+Public entry points are :func:`pairing` and :func:`multi_pairing` (a
+product of Miller loops under ONE shared final exponentiation); neither
+caches anything (caching of constant pairings is done by the scheme
+layer, mirroring the paper's "e(P_pub, Q_ID) is a constant"
+optimisation).  The pre-optimisation textbook path is retained in
+:mod:`repro.pairing.naive` as ground truth and as the fallback for
+degenerate (hostile-input) Miller steps.
 """
 
 from __future__ import annotations
@@ -397,42 +397,12 @@ def multi_pairing(
         return final_exponentiation(curve, f)
 
 
-class PairingEngine:
-    """Convenience wrapper binding a :class:`BNCurve` with counters.
-
-    Tracks how many pairings, G1/G2 scalar multiplications and GT
-    exponentiations have been requested, which feeds the Table 1 operation
-    accounting in the benchmark harness.
-    """
-
-    def __init__(self, curve: BNCurve):
-        self.curve = curve
-        self.pairing_count = 0
-
-    def pair(self, p_point: CurvePoint, q_point: CurvePoint) -> Fp12:
-        """Counted pairing through this engine."""
-        self.pairing_count += 1
-        return pairing(self.curve, p_point, q_point)
-
-    def multi_pair(
-        self, pairs: Sequence[Tuple[CurvePoint, CurvePoint]]
-    ) -> Fp12:
-        """Counted multi-pairing: each pair counts as one requested pairing."""
-        self.pairing_count += len(pairs)
-        return multi_pairing(self.curve, pairs)
-
-    def reset_counters(self) -> None:
-        """Zero the engine's pairing counter."""
-        self.pairing_count = 0
-
-
 def is_valid_codh_tuple(
     curve: BNCurve,
     base: CurvePoint,
     left_g1: CurvePoint,
     right_g2: CurvePoint,
     target_g2: CurvePoint,
-    engine: Optional[PairingEngine] = None,
 ) -> bool:
     """Check the co-Diffie-Hellman relation e(left, right) == e(base, target).
 
@@ -443,6 +413,4 @@ def is_valid_codh_tuple(
     final exponentiation across both Miller loops.
     """
     pairs = [(left_g1, right_g2), (-base, target_g2)]
-    if engine is not None:
-        return engine.multi_pair(pairs).is_one()
     return multi_pairing(curve, pairs).is_one()

@@ -44,10 +44,10 @@ class ECDSA:
 
     Conforms to :class:`repro.schemes.base.SchemeProtocol`: construct it
     from a shared :class:`~repro.pairing.groups.PairingContext` (preferred —
-    base-point multiplications then share the context's fixed-base comb
-    tables and operation counters) or from a bare :class:`BNCurve` as
-    before.  ECDSA has no identity binding; ``verify`` accepts and ignores
-    the identity argument.
+    base-point multiplications then share the context's operation
+    counters) or from a bare :class:`BNCurve` as before.  ECDSA has no
+    identity binding; ``verify`` accepts and ignores the identity
+    argument.
     """
 
     name = "ecdsa"
@@ -65,7 +65,6 @@ class ECDSA:
             self.curve = curve if curve is not None else default_test_curve()
             self.rng = rng if rng is not None else random.Random()
             self.ctx = PairingContext(self.curve, self.rng)
-        self.ctx.fixed_base(self.curve.g1)
 
     def _digest_scalar(self, message: bytes) -> int:
         digest = hashlib.sha256(b"ecdsa:" + message).digest()

@@ -148,14 +148,6 @@ class CertificatelessScheme(abc.ABC):
         # P_pub on both sides of the pairing: schemes pick what they need.
         self.p_pub_g1 = curve.g1 * self.master_secret
         self.p_pub_g2 = curve.g2 * self.master_secret
-        # The generators and P_pub are multiplied on every sign/verify, so
-        # they are the canonical fixed bases for comb precomputation —
-        # pinned outside the LRU so per-identity Q_ID churn can never
-        # evict them.
-        ctx.fixed_base(curve.g1, pin=True)
-        ctx.fixed_base(curve.g2, pin=True)
-        ctx.fixed_base(self.p_pub_g1, pin=True)
-        ctx.fixed_base(self.p_pub_g2, pin=True)
 
     # -- rekey ----------------------------------------------------------------
     def rotate_master_secret(self, new_secret: Optional[int] = None) -> int:
@@ -168,12 +160,11 @@ class CertificatelessScheme(abc.ABC):
 
         Crucially this also invalidates every derived artifact of the old
         P_pub, which would otherwise stay alive (or worse, keep being
-        *used*): the memoised e(P_pub, Q_ID) GT/Miller cache entries, the
-        old P_pub fixed-base comb tables, and any scheme-private caches
-        (via the :meth:`_on_rekey` hook).  Returns the new master secret.
+        *used*): the memoised e(P_pub, Q_ID) GT/Miller cache entries and
+        any scheme-private caches (via the :meth:`_on_rekey` hook).
+        Returns the new master secret.
         """
         curve = self.ctx.curve
-        old_p_pub_g1, old_p_pub_g2 = self.p_pub_g1, self.p_pub_g2
         secret = (
             new_secret % curve.n if new_secret else self.ctx.random_scalar()
         )
@@ -182,10 +173,6 @@ class CertificatelessScheme(abc.ABC):
         self.master_secret = secret
         self.p_pub_g1 = curve.g1 * secret
         self.p_pub_g2 = curve.g2 * secret
-        self.ctx.drop_fixed_base(old_p_pub_g1)
-        self.ctx.drop_fixed_base(old_p_pub_g2)
-        self.ctx.fixed_base(self.p_pub_g1, pin=True)
-        self.ctx.fixed_base(self.p_pub_g2, pin=True)
         # Old e(P_pub, Q_ID) entries are dead weight at best (the cache key
         # includes P_pub, so they can never match again) - drop them all.
         self.ctx.clear_pairing_cache()
@@ -203,7 +190,7 @@ class CertificatelessScheme(abc.ABC):
     def extract_partial_key(self, identity: Identity) -> PartialPrivateKey:
         """D_ID = s * H1(ID).  Run by the KGC over a secure channel."""
         ident = normalize_identity(identity)
-        q_id = self.ctx.fixed_base(self.ctx.hash_g2(self._h1_domain(), ident))
+        q_id = self.ctx.hash_g2(self._h1_domain(), ident)
         # Q_ID is a cofactor-cleared hash output, so the GLS fast path is
         # sound here.
         d_id = self.ctx.g2_mul(q_id, self.master_secret, in_subgroup=True)
@@ -233,9 +220,7 @@ class CertificatelessScheme(abc.ABC):
     # -- shared helpers --------------------------------------------------------
     def q_of(self, identity: Identity) -> CurvePoint:
         """Public recomputation of Q_ID = H1(ID) (not counted as secret)."""
-        return self.ctx.fixed_base(
-            self.ctx.hash_g2(self._h1_domain(), normalize_identity(identity))
-        )
+        return self.ctx.hash_g2(self._h1_domain(), normalize_identity(identity))
 
     def measure_sign(self, message: Message, keys: UserKeyPair):
         """Return (signature, OpCount) for one signing operation.

@@ -49,7 +49,6 @@ class BLSScheme:
 
     def __init__(self, ctx: PairingContext):
         self.ctx = ctx
-        ctx.fixed_base(ctx.g2)
 
     def generate_keys(self, secret: Optional[int] = None) -> BLSKeyPair:
         """Fresh (or deterministic, given ``secret``) BLS key pair."""

@@ -103,8 +103,6 @@ def build_verifier_view(
     view = McCLS(ctx, master_secret=1)
     view.p_pub_g1 = p_pub_g1
     view.p_pub_g2 = p_pub_g2
-    ctx.fixed_base(p_pub_g1)
-    ctx.fixed_base(p_pub_g2)
     return curve, view
 
 

@@ -27,7 +27,7 @@ verifier view of the scheme (public params only - the KGC master secret
 never crosses the process boundary) plus its own bounded pairing caches:
 
 * **Identity-affinity routing.**  A window is routed by
-  ``crc32(identity) % size``, so one worker's Miller/GT/comb caches and
+  ``crc32(identity) % size``, so one worker's Miller/GT/hash caches and
   sessions stay with its identity partition instead of every worker
   thrashing over the whole key population.  When the affine worker is
   dead or restarting, the window falls over to another live worker
@@ -96,18 +96,14 @@ def merge_cache_stats(*stats: Dict[str, Dict[str, int]]) -> Dict[str, Dict[str, 
     Monotonic counters (hits/misses/evictions) add; ``peak_size`` takes
     the max (every context respected its own bound, so the max is the
     honest "worst cache pressure seen anywhere"); ``size``/``maxsize``
-    come from the last document naming them.  The ``fixed_bases`` entry's
-    ``pinned``/``evictable`` populations add: each context pins its own
-    copy of the system bases, so the merged document reports the total
-    number of tables held across the deployment.
+    come from the last document naming them.
     """
     merged: Dict[str, Dict[str, int]] = {}
     for document in stats:
         for name, entry in document.items():
             into = merged.setdefault(name, {})
-            for key in ("hits", "misses", "evictions", "pinned", "evictable"):
-                if key in entry or key in into:
-                    into[key] = into.get(key, 0) + entry.get(key, 0)
+            for key in ("hits", "misses", "evictions"):
+                into[key] = into.get(key, 0) + entry.get(key, 0)
             into["peak_size"] = max(
                 into.get("peak_size", 0), entry.get("peak_size", 0)
             )

@@ -99,7 +99,6 @@ class TestStatsShape:
         assert set(stats["cache"]) == {
             "pairing",
             "miller",
-            "fixed_bases",
             "hash_g2",
         }
 
@@ -140,7 +139,7 @@ class TestMetricsExposition:
         # gauges and cache families
         assert samples["repro_service_queue_depth"] == 0.0
         assert types["repro_service_queue_depth"] == "gauge"
-        assert 'repro_cache_hits_total{cache="fixed_bases"}' in samples
+        assert 'repro_cache_hits_total{cache="hash_g2"}' in samples
         assert samples["repro_service_enrolled"] == 1.0
 
     def test_metric_names_are_prometheus_legal(self):

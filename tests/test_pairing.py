@@ -1,4 +1,4 @@
-"""Pairing tests: bilinearity, non-degeneracy, Frobenius, engine counting."""
+"""Pairing tests: bilinearity, non-degeneracy, Frobenius, multi-pairing."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,6 @@ from repro.pairing.naive import (
     pairing_naive,
 )
 from repro.pairing.pairing import (
-    PairingEngine,
     final_exponentiation,
     is_valid_codh_tuple,
     miller_loop,
@@ -188,29 +187,6 @@ class TestMultiPairing:
             multi_pairing(
                 CURVE, [(CURVE.g2, CURVE.g2)], check_membership=True
             )
-
-    def test_engine_multi_pair_counts_requested_pairings(self):
-        engine = PairingEngine(CURVE)
-        value = engine.multi_pair([(CURVE.g1, CURVE.g2), (-CURVE.g1, CURVE.g2)])
-        assert value.is_one()
-        assert engine.pairing_count == 2
-
-
-class TestEngine:
-    def test_counts(self):
-        engine = PairingEngine(CURVE)
-        engine.pair(CURVE.g1, CURVE.g2)
-        engine.pair(CURVE.g1, CURVE.g2)
-        assert engine.pairing_count == 2
-        engine.reset_counters()
-        assert engine.pairing_count == 0
-
-    def test_codh_with_engine(self):
-        engine = PairingEngine(CURVE)
-        is_valid_codh_tuple(
-            CURVE, CURVE.g1, CURVE.g1, CURVE.g2, CURVE.g2, engine=engine
-        )
-        assert engine.pairing_count == 2
 
 
 @pytest.mark.slow

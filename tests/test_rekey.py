@@ -1,17 +1,15 @@
 """KGC master-secret rotation: cache invalidation end to end.
 
 The bug these tests pin down: a rekey that only swaps the master secret
-leaves three caches poisoned or leaking -
+leaves two caches poisoned or leaking -
 
 * the :class:`~repro.pairing.groups.PairingContext` pairing/Miller caches
   keep entries keyed by the *old* P_pub (never matched again: a pure leak),
-* the fixed-base comb table for the old P_pub stays registered (and keeps
-  winning LRU freshness through g1_mul calls that will never come),
 * McCLS's signer-side ``S = x^{-1} * D_ID`` cache still holds values
   derived from partial keys the old secret issued - signatures minted from
   them can **never** verify after re-enrolment.
 
-``rotate_master_secret`` must clear all three, and the first verify after
+``rotate_master_secret`` must clear both, and the first verify after
 a rekey must run cold exactly once per identity, then warm again.
 """
 
@@ -47,7 +45,6 @@ class TestRotateMasterSecret:
         assert len(ctx._miller_cache) > 0
         assert len(scheme._s_cache) > 0
         old_p_pub_key = point_key(scheme.p_pub_g1)
-        old_p_pub = scheme.p_pub_g1
 
         scheme.rotate_master_secret()
 
@@ -55,13 +52,6 @@ class TestRotateMasterSecret:
         assert len(ctx._pairing_cache) == 0
         assert len(ctx._miller_cache) == 0
         assert scheme._s_cache == {}
-        # Old comb table dropped, new P_pub's registered as pinned
-        # system bases (outside the LRU, so identity churn cannot evict
-        # them).
-        assert old_p_pub_key not in ctx._fixed_bases
-        assert old_p_pub_key not in ctx._pinned_bases
-        assert point_key(scheme.p_pub_g1) in ctx._pinned_bases
-        assert point_key(scheme.p_pub_g2) in ctx._pinned_bases
 
     def test_explicit_secret_is_honoured(self, curve32):
         scheme = make_scheme(curve32)
@@ -181,7 +171,6 @@ class TestFaultInjectedRekey:
             assert g1_key != old_p_pub_key
         for g1_key, _g2_key in ctx._pairing_cache:
             assert g1_key != old_p_pub_key
-        assert old_p_pub_key not in ctx._fixed_bases
         # Every honest node was re-issued and the shared directory updated.
         for node_id, node in nodes.items():
             fresh = node.material.keys

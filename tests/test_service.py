@@ -232,7 +232,6 @@ class TestGatewayBasics:
                 assert set(stats["cache"]) == {
                     "pairing",
                     "miller",
-                    "fixed_bases",
                     "hash_g2",
                 }
                 assert stats["queue_size"] == gateway.queue_size
