@@ -41,7 +41,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.mccls import McCLS, McCLSSignature
 from repro.pairing.curve import CurvePoint
@@ -537,6 +537,34 @@ def run_batch_corruption_game(
     }
 
 
+def forge_cancelling_pair(
+    scheme, keys, rng: random.Random, tag: str = ""
+) -> List[Tuple[bytes, McCLSSignature]]:
+    """Two invalid signatures by ``keys`` whose fold defects cancel.
+
+    Knowing its own x (hence the anchor W = x*P), the signer picks
+    R = rho*P and  v = h*(rho + x +/- gamma)  so each item's defect is
+    +/- gamma*P and the two defects sum to zero under unit weights.
+    """
+    ctx = scheme.ctx
+    n = ctx.order
+    x = keys.secret_value
+    s_point = scheme._s_component(keys)
+    gamma = rng.randrange(1, n)
+    pair = []
+    for sign_of_gamma in (1, -1):
+        rho = rng.randrange(1, n)
+        big_r = ctx.g1 * rho
+        msg = f"cancelling-{tag}-{sign_of_gamma}".encode()
+        h = ctx.hash_scalar(b"H2/mccls", msg, big_r, keys.public_key)
+        v = (h * (rho + x + sign_of_gamma * gamma)) % n
+        sig = McCLSSignature(v=v, s=s_point, r=big_r)
+        # each item alone must be invalid by construction
+        assert not scheme.verify(msg, sig, keys.identity, keys.public_key)
+        pair.append((msg, sig))
+    return pair
+
+
 def run_cancelling_pair_game(
     verifier,
     trials: int = 4,
@@ -545,41 +573,28 @@ def run_cancelling_pair_game(
     """A malicious signer submits two INVALID signatures whose fold defects
     cancel under unit weights (the classic attack on linear batch tests).
 
-    Knowing its own x (hence the anchor W = x*P), the signer picks
-    R = rho*P and  v = h*(rho + x +/- gamma)  so each item's defect is
-    +/- gamma*P: a batch verifier folding with FIXED weights would accept
-    both forgeries, since the defects sum to zero.  Random per-item
+    Each trial is one :func:`forge_cancelling_pair`: a batch verifier
+    folding with FIXED weights would accept both forgeries, since the
+    defects sum to zero.  Random per-item
     80-bit weights make the folded defect (d1 - d2)*gamma*P != 0 with
     overwhelming probability, so the verifier must reject BOTH items
     every trial (located via bisection down to exact checks).
     """
     rng = rng if rng is not None else random.Random(0xCA9CE1)
     scheme = verifier.scheme
-    ctx = scheme.ctx
-    n = ctx.order
     keys = scheme.generate_user_keys("malicious-signer@pair-game")
     # anchor the signer with one honest signature
     honest = b"honest hello"
     verifier.verify_cross_signer(
         [(honest, scheme.sign(honest, keys), keys.identity, keys.public_key)]
     )
-    x = keys.secret_value
-    s_point = scheme._s_component(keys)
     accepted_forgeries = 0
     rejected_pairs = 0
     for trial in range(trials):
-        gamma = rng.randrange(1, n)
-        pair = []
-        for sign_of_gamma in (1, -1):
-            rho = rng.randrange(1, n)
-            big_r = ctx.g1 * rho
-            msg = f"cancelling-{trial}-{sign_of_gamma}".encode()
-            h = ctx.hash_scalar(b"H2/mccls", msg, big_r, keys.public_key)
-            v = (h * (rho + x + sign_of_gamma * gamma)) % n
-            sig = McCLSSignature(v=v, s=s_point, r=big_r)
-            # each item alone must be invalid by construction
-            assert not scheme.verify(msg, sig, keys.identity, keys.public_key)
-            pair.append((msg, sig, keys.identity, keys.public_key))
+        pair = [
+            (msg, sig, keys.identity, keys.public_key)
+            for msg, sig in forge_cancelling_pair(scheme, keys, rng, f"{trial}")
+        ]
         verdicts, _stats = verifier.verify_cross_signer(pair)
         accepted_forgeries += sum(verdicts)
         if verdicts == [False, False]:

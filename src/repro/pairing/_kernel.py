@@ -47,6 +47,7 @@ import sys
 import tempfile
 from typing import Optional, Tuple
 
+from repro.errors import FieldError
 from repro.obs import runtime as _rt
 from repro.obs.registry import get_registry
 
@@ -91,8 +92,8 @@ typedef struct {
 } bnctx;
 int kern_miller(const bnctx *ctx, const u64 *px, const u64 *py,
                 const u64 *qx, const u64 *qy, u64 *out, u64 *counts);
-void kern_final_exp(const bnctx *ctx, const u64 *f_in, const u64 *finv_in,
-                    u64 *out, u64 *counts);
+void kern_final_exp(const bnctx *ctx, const u64 *f_in, u64 *out,
+                    u64 *counts);
 int kern_g1_msm(const bnctx *ctx, int m, const u64 *xs, const u64 *ys,
                 const signed char *digits, int ndigits, int endo,
                 const u64 *endo_beta, u64 *out, u64 *counts);
@@ -101,6 +102,7 @@ int kern_g2_msm(const bnctx *ctx, int m, const u64 *xs, const u64 *ys,
                 u64 *out, u64 *counts);
 void kern_mont_mul_test(const bnctx *ctx, const u64 *a, const u64 *b,
                         u64 *out);
+void kern_fp12_inv_test(const bnctx *ctx, const u64 *f_in, u64 *out);
 """
 
 _CSOURCE = r"""
@@ -539,6 +541,49 @@ static void fp12_frob(const bnctx *ctx, u64 *k, fp12 *o, const fp12 *f,
     *o = v;
 }
 
+/* a^(p-2) = a^-1 for nonzero a (Fermat), square-and-multiply over p-2 */
+static void fp_inv(const bnctx *ctx, fp *o, const fp *a) {
+    u64 e[4];
+    i128 c = -2;
+    for (int i = 0; i < 4; i++) {
+        c += ctx->p.c[i];
+        e[i] = (u64)c;
+        c >>= 64;
+    }
+    fp one1 = {{1, 0, 0, 0}}, r;
+    fp_to_mont(ctx, &r, &one1);
+    for (int i = 255; i >= 0; i--) {
+        mont_mul(ctx, &r, &r, &r);
+        if ((e[i / 64] >> (i % 64)) & 1) mont_mul(ctx, &r, &r, a);
+    }
+    *o = r;
+}
+
+/* f^-1 by the norm chain, for nonzero f (every nonzero element of the
+ * field Fp12 has a nonzero norm): g = f*conj(f) lies in Fp6,
+ * N = g*g^(p^2)*g^(p^4) in Fp2 and M = N*N^p in Fp, so
+ * f^-1 = conj(f)*g^(p^2)*g^(p^4)*N^p / M.  The inverse is unique, so the
+ * value is byte-identical to Fp12.inverse; the products count into a
+ * scratch block that is dropped (the wrapper tallies fp12_inv once). */
+static void fp12_inv(const bnctx *ctx, fp12 *o, const fp12 *f) {
+    u64 k[NCOUNTS];
+    memset(k, 0, sizeof k);
+    fp12 conj, g, g2, g4, a, n, np, m;
+    fp12_conj(ctx, &conj, f);
+    fp12_mul(ctx, k, &g, f, &conj);
+    fp12_frob(ctx, k, &g2, &g, 2);
+    fp12_frob(ctx, k, &g4, &g2, 2);
+    fp12_mul(ctx, k, &a, &g2, &g4);
+    fp12_mul(ctx, k, &n, &g, &a);
+    fp12_frob(ctx, k, &np, &n, 1);
+    fp12_mul(ctx, k, &m, &n, &np);
+    fp12_mul(ctx, k, &a, &a, &np);
+    fp12_mul(ctx, k, &a, &a, &conj);
+    fp minv;
+    fp_inv(ctx, &minv, &m.c[0]);
+    for (int i = 0; i < 12; i++) mont_mul(ctx, &o->c[i], &a.c[i], &minv);
+}
+
 /* cyclotomic exponentiation by the curve parameter t (NAF in ctx) */
 static void fp12_cyclo_exp_t(const bnctx *ctx, u64 *k, fp12 *o,
                              const fp12 *val) {
@@ -748,17 +793,16 @@ int kern_miller(const bnctx *ctx, const u64 *px_, const u64 *py_,
 
 /* ---------------- final exponentiation (mirrors pairing.py) ----------- */
 
-void kern_final_exp(const bnctx *ctx, const u64 *f_in, const u64 *finv_in,
-                    u64 *out, u64 *counts) {
+void kern_final_exp(const bnctx *ctx, const u64 *f_in, u64 *out,
+                    u64 *counts) {
     memset(counts, 0, NCOUNTS * sizeof(u64));
     fp12 f0, finv, f, t, fr;
     for (int i = 0; i < 12; i++) {
         memcpy(f0.c[i].c, f_in + 4 * i, 32);
         fp_to_mont(ctx, &f0.c[i], &f0.c[i]);
-        memcpy(finv.c[i].c, finv_in + 4 * i, 32);
-        fp_to_mont(ctx, &finv.c[i], &finv.c[i]);
     }
     /* easy part */
+    fp12_inv(ctx, &finv, &f0);
     fp12_conj(ctx, &t, &f0);
     fp12_mul(ctx, counts, &f, &t, &finv);
     fp12_frob(ctx, counts, &fr, &f, 2);
@@ -1146,6 +1190,21 @@ void kern_mont_mul_test(const bnctx *ctx, const u64 *a, const u64 *b,
     fp_from_mont(ctx, &fo, &fo);
     memcpy(out, fo.c, 32);
 }
+
+/* exposed for the differential test against Fp12.inverse (f != 0) */
+void kern_fp12_inv_test(const bnctx *ctx, const u64 *f_in, u64 *out) {
+    fp12 f, r;
+    for (int i = 0; i < 12; i++) {
+        memcpy(f.c[i].c, f_in + 4 * i, 32);
+        fp_to_mont(ctx, &f.c[i], &f.c[i]);
+    }
+    fp12_inv(ctx, &r, &f);
+    for (int i = 0; i < 12; i++) {
+        fp o;
+        fp_from_mont(ctx, &o, &r.c[i]);
+        memcpy(out + 4 * i, o.c, 32);
+    }
+}
 """
 
 # ---------------------------------------------------------------------------
@@ -1399,11 +1458,7 @@ class PairingKernel:
         self._apply_counts(counts, apply_registry_sparse=(rc == 0))
         if rc != 0:
             return None
-        raw = bytes(ffi.buffer(out))
-        spec = self._curve.spec
-        from repro.pairing.fields import Fp12
-
-        return Fp12(spec, [_fp_from_bytes(raw, i) for i in range(12)])
+        return self._fp12_value(out)
 
     # -- point arithmetic --------------------------------------------------
     def _pack_digits(self, digit_lists, ndigits: int, m: int):
@@ -1498,27 +1553,45 @@ class PairingKernel:
             spec.fp2(_fp_from_bytes(raw, 4), _fp_from_bytes(raw, 5)),
         )
 
-    def final_exp(self, f):
-        """Kernel final exponentiation of a Miller value ``f``."""
-        self._ensure_tables()
-        # The easy part needs f^-1; the pure path computes it with the
-        # Python extended-Euclid (tallying fp12_inv exactly once), so the
-        # kernel path does the same and hands both operands to C.
-        f_inv = f.inverse()
-        ffi, lib = self._ffi, self._lib
-        fbuf = ffi.new("u64[48]")
-        ibuf = ffi.new("u64[48]")
+    def _fp12_buf(self, f):
+        """An Fp12 value as the C side's 48 little-endian limbs."""
+        buf = self._ffi.new("u64[48]")
         for i in range(12):
             for j, limb in enumerate(_limbs(f.coeffs[i])):
-                fbuf[4 * i + j] = limb
-            for j, limb in enumerate(_limbs(f_inv.coeffs[i])):
-                ibuf[4 * i + j] = limb
-        out = ffi.new("u64[48]")
-        counts = ffi.new("u64[12]")
-        lib.kern_final_exp(self._ctx, fbuf, ibuf, out, counts)
-        self._apply_counts(counts, apply_registry_sparse=False)
-        raw = bytes(ffi.buffer(out))
-        spec = self._curve.spec
+                buf[4 * i + j] = limb
+        return buf
+
+    def _fp12_value(self, out):
         from repro.pairing.fields import Fp12
 
-        return Fp12(spec, [_fp_from_bytes(raw, i) for i in range(12)])
+        raw = bytes(self._ffi.buffer(out))
+        return Fp12(self._curve.spec, [_fp_from_bytes(raw, i) for i in range(12)])
+
+    def final_exp(self, f):
+        """Kernel final exponentiation of a Miller value ``f``."""
+        # The easy part's f^-1 runs in C (norm chain, uncounted); the
+        # tally and the zero check match Fp12.inverse, which the pure
+        # path calls before it first touches the Frobenius tables.
+        tally = _rt.tally
+        if tally is not None:
+            tally.fp12_inv += 1
+        if f.is_zero():
+            raise FieldError("inversion of zero in Fp12")
+        self._ensure_tables()
+        out = self._ffi.new("u64[48]")
+        counts = self._ffi.new("u64[12]")
+        self._lib.kern_final_exp(self._ctx, self._fp12_buf(f), out, counts)
+        self._apply_counts(counts, apply_registry_sparse=False)
+        return self._fp12_value(out)
+
+    def fp12_inverse(self, f):
+        """The final exponentiation's C inverse of a nonzero ``f``, uncounted.
+
+        Exposed for the differential test against :meth:`Fp12.inverse`.
+        """
+        if f.is_zero():
+            raise FieldError("inversion of zero in Fp12")
+        self._ensure_tables()
+        out = self._ffi.new("u64[48]")
+        self._lib.kern_fp12_inv_test(self._ctx, self._fp12_buf(f), out)
+        return self._fp12_value(out)

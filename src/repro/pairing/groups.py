@@ -42,7 +42,7 @@ from repro.pairing.pairing import (
 
 from repro.obs.registry import get_registry
 
-#: default bound of the per-context pairing caches (GT values and inverted
+#: default bound of the per-context pairing caches (GT values and conjugated
 #: Miller values each).  Generous for a single node - a MANET node meets
 #: tens of neighbours, a gateway thousands of identities per window - but
 #: a bound, so an unbounded identity population can no longer grow the
@@ -132,10 +132,12 @@ class PairingContext:
         self._pairing_cache: LRUCache = LRUCache(
             cache_size, on_evict=_count_pairing_eviction
         )
-        # Inverted raw Miller values of constant pairs, for the co-DH
+        # Conjugated raw Miller values of constant pairs, for the co-DH
         # equality check (see codh_check_cached): warm checks then cost one
         # Miller loop + one shared final exponentiation, with no GT value
-        # ever materialised for the constant side.
+        # ever materialised for the constant side.  The conjugate stands in
+        # for the inverse because the final exponentiation maps both to
+        # the same GT element.
         self._miller_cache: LRUCache = LRUCache(
             cache_size, on_evict=_count_pairing_eviction
         )
@@ -269,10 +271,9 @@ class PairingContext:
         and one normalised out of Jacobian coordinates — share one cache
         entry instead of silently re-running the Miller loop.
 
-        A cache fill also stores the pair's inverted raw Miller value, so
-        a verifier warmed through :meth:`pair_cached` is equally warm for
-        :meth:`codh_check_cached` (and vice-versa-adjacent paths) without
-        a second Miller loop.
+        A cache fill also stores the pair's conjugated raw Miller value,
+        so a verifier warmed through :meth:`pair_cached` is equally warm
+        for :meth:`codh_check_cached` without a second Miller loop.
         """
         key = (point_key(p_point), point_key(q_point))
         registry = get_registry()
@@ -291,7 +292,7 @@ class PairingContext:
             raw = miller_loop(curve, p_point, q_point)
         with registry.phase("pairing.final_exp"):
             value = final_exponentiation(curve, raw)
-        self._miller_cache[key] = raw.inverse()
+        self._miller_cache[key] = raw.conjugate()
         self._pairing_cache[key] = value
         return value
 
@@ -322,28 +323,26 @@ class PairingContext:
         right_g2: CurvePoint,
         base_g1: CurvePoint,
         target_g2: CurvePoint,
-        weight: int = 1,
     ) -> bool:
-        """e(left, right) == e(base, target)^weight, caching the constant side.
+        """e(left, right) == e(base, target), caching the constant side.
 
         The constant pair (base, target) — e(P_pub, Q_ID) in the paper —
-        is cached as an *inverted raw Miller value*, not a GT value.  A
+        is cached as a *conjugated raw Miller value*, not a GT value.  A
         cold check therefore runs two Miller loops and exactly ONE final
-        exponentiation (of the ratio); a warm check runs one Miller loop
+        exponentiation (of the product); a warm check runs one Miller loop
         plus the shared final exponentiation and counts a cached-pairing
         hit, preserving the paper's "one pairing to verify" accounting.
 
-        ``weight`` folds a known exponent on the constant side into the
-        same shared final exponentiation (the batch verifier's weighted
-        small-exponent test); the raw Miller value is exponentiated with
-        the generic ladder since it is not yet cyclotomic.
+        Conjugation is the p^6 Frobenius, and GT's order divides p^6 + 1,
+        so FE(conj f) = FE(f)^(p^6) = FE(f)^-1: the conjugate is exact as
+        the inverse under the final exponentiation, and free.
         """
         curve = self.curve
         key = (point_key(base_g1), point_key(target_g2))
         registry = get_registry()
         tally = _rt.tally
-        m2_inv = self._miller_cache.get(key)
-        if m2_inv is not None:
+        m2_conj = self._miller_cache.get(key)
+        if m2_conj is not None:
             self.ops.pairings += 1
             self.ops.cached_pairing_hits += 1
             registry.counter("pairing.cache_hits").inc()
@@ -358,12 +357,10 @@ class PairingContext:
                 tally.pairings += 2
             with registry.phase("pairing.miller_loop"):
                 m1 = miller_loop(curve, left_g1, right_g2)
-                m2_inv = miller_loop(curve, base_g1, target_g2).inverse()
-            self._miller_cache[key] = m2_inv
-        if weight != 1:
-            m2_inv = m2_inv ** (weight % self.order)
+                m2_conj = miller_loop(curve, base_g1, target_g2).conjugate()
+            self._miller_cache[key] = m2_conj
         with registry.phase("pairing.final_exp"):
-            return final_exponentiation(curve, m1 * m2_inv).is_one()
+            return final_exponentiation(curve, m1 * m2_conj).is_one()
 
     def cached_gt(
         self, p_point: CurvePoint, q_point: CurvePoint

@@ -1,7 +1,8 @@
 """A size-bounded LRU mapping for the pairing stack's memoisation caches.
 
-The warm-verify path caches one GT value and one inverted Miller value per
-``(P_pub, Q_ID)`` pair.  On a MANET node that meets a handful of
+The warm-verify path caches one GT value and one conjugated Miller value
+per ``(P_pub, Q_ID)`` pair (the conjugate acts as the inverse under the
+final exponentiation).  On a MANET node that meets a handful of
 neighbours an unbounded dict is harmless, but a verification gateway
 serving a large mobile population would grow it without limit - and a KGC
 rekey would leave every old entry alive forever.  :class:`LRUCache` gives

@@ -19,11 +19,13 @@ import pytest
 from repro import obs
 from repro.core.mccls import McCLS
 from repro.core.params import KeyGenerationCenter
+from repro.errors import FieldError
 from repro.pairing import backends
-from repro.pairing.bn import toy_curve
-from repro.pairing.fields import FieldSpec
+from repro.pairing._kernel import kernel_availability
+from repro.pairing.bn import bn254, toy_curve
+from repro.pairing.fields import FieldSpec, Fp12
 from repro.pairing.groups import PairingContext
-from repro.pairing.pairing import pairing
+from repro.pairing.pairing import final_exponentiation, miller_loop, pairing
 from repro.schemes.registry import create_scheme
 
 P254 = (1 << 253) + 39  # a 254-bit prime with p = 3 (mod 4)
@@ -291,3 +293,68 @@ class TestNativeBackend:
         rebound = curve.with_backend("reference")
         assert rebound.spec.backend.name == "reference"
         assert rebound.g1.x == curve.g1.x
+
+
+def _kernel_curves():
+    ok, reason = kernel_availability()
+    marks = [] if ok else [pytest.mark.skip(reason=f"kernel: {reason}")]
+    return [pytest.param(name, marks=marks) for name in ("toy48", "bn254")]
+
+
+def _curve_pair(name):
+    """(reference, native) instances of one curve."""
+    if name == "toy48":
+        return toy_curve(48, backend="reference"), toy_curve(48, backend="native")
+    return bn254(backend="reference"), bn254(backend="native")
+
+
+@pytest.mark.parametrize("curve_name", _kernel_curves())
+class TestKernelFp12Inverse:
+    """The final exponentiation's easy-part inverse runs in C; it must be
+    the reference extended-Euclid inverse byte for byte and tally alike."""
+
+    def _inputs(self, ref):
+        rng = random.Random(0x1A7E)
+        values = [Fp12(ref.spec, [1] + [0] * 11)]
+        for _ in range(24):
+            coeffs = [
+                rng.randrange(ref.p) if rng.random() < 0.6 else 0
+                for _ in range(12)
+            ]
+            coeffs[rng.randrange(12)] = rng.randrange(1, ref.p)
+            values.append(Fp12(ref.spec, coeffs))
+        values.append(miller_loop(ref, ref.g1, ref.g2))
+        return values
+
+    def test_inverse_matches_reference(self, curve_name):
+        ref, nat = _curve_pair(curve_name)
+        kernel = nat.spec.backend.pairing_kernel(nat)
+        assert kernel is not None
+        for value in self._inputs(ref):
+            got = kernel.fp12_inverse(Fp12(nat.spec, value.coeffs))
+            assert got.coeffs == value.inverse().coeffs
+
+    def test_zero_raises_on_both_backends(self, curve_name):
+        for curve in _curve_pair(curve_name):
+            with obs.collecting() as registry:
+                with pytest.raises(FieldError):
+                    final_exponentiation(curve, curve.spec.fp12_zero())
+            assert registry.field_ops.fp12_inv == 1
+
+    def test_final_exp_tallies_one_inverse(self, curve_name):
+        ref, nat = _curve_pair(curve_name)
+        raw = miller_loop(ref, ref.g1, ref.g2)
+        tallies, values = [], []
+        for curve in (ref, nat):
+            f = Fp12(curve.spec, raw.coeffs)
+            final_exponentiation(curve, f)  # warm the Frobenius tables
+            with obs.collecting() as registry:
+                values.append(final_exponentiation(curve, f).coeffs)
+            tallies.append(registry.field_ops.snapshot())
+        assert tallies[1]["fp12_inv"] == 1
+        assert tallies[0] == tallies[1]
+        assert values[0] == values[1]
+        kernel = nat.spec.backend.pairing_kernel(nat)
+        with obs.collecting() as registry:
+            kernel.final_exp(Fp12(nat.spec, raw.coeffs))
+        assert registry.field_ops.fp12_inv == 1

@@ -96,6 +96,19 @@ class TestBatch:
         sig2 = scheme.sign(b"y", keys)
         assert sig1.s == sig2.s  # derived deterministically from (x, D_ID)
 
+    def test_weights_summing_to_zero_mod_n_answer_exactly(self, setup):
+        """On a curve with n < 2^64 the weight sum can vanish mod n; there
+        is no w^-1 to move into G1, so the batch is verified per item."""
+        scheme, keys, verifier = setup
+        valid = verifier.sign_batch([b"a", b"b"], keys)
+        forged = [valid[0], (b"FORGED", valid[1][1])]
+        for items, expected in ((valid, True), (forged, False)):
+            weights = iter([CURVE.n - 1, 1])
+            scheme.ctx.batch_randrange = lambda start, stop: next(weights)
+            assert verifier.verify_same_signer(
+                items, keys.identity, keys.public_key
+            ) is expected
+
     def test_s_infinity_rejected(self, setup):
         scheme, keys, verifier = setup
         items = list(verifier.sign_batch([b"a"], keys))
@@ -107,6 +120,48 @@ class TestBatch:
         assert not verifier.verify_same_signer(
             items, keys.identity, keys.public_key
         )
+
+
+def _valid(scheme, keys, verifier):
+    return verifier.sign_batch([f"m{i}".encode() for i in range(5)], keys)
+
+
+def _flip_bit(scheme, keys, verifier):
+    items = list(verifier.sign_batch([b"a", b"b", b"c"], keys))
+    message, sig = items[1]
+    items[1] = (message, dataclasses.replace(sig, v=sig.v ^ 1))
+    return items
+
+
+def _cancelling(scheme, keys, verifier):
+    from repro.core.games import forge_cancelling_pair
+
+    honest = verifier.sign_batch([b"honest"], keys)
+    return honest + forge_cancelling_pair(scheme, keys, random.Random(0xDEAD))
+
+
+def _mixed_s(scheme, keys, verifier):
+    other = scheme.generate_user_keys("other@manet")
+    return [(b"mine", scheme.sign(b"mine", keys)), (b"x", scheme.sign(b"x", other))]
+
+
+@pytest.mark.parametrize(
+    "build, valid",
+    [(_valid, True), (_flip_bit, False), (_cancelling, False), (_mixed_s, False)],
+    ids=["valid", "bit-flipped", "cancelling-pair", "mixed-s"],
+)
+def test_same_signer_verdict_matches_per_item_verify(setup, build, valid):
+    """The G1-weighted fold answers exactly what per-item verify answers."""
+    scheme, keys, verifier = setup
+    items = build(scheme, keys, verifier)
+    scheme.ctx.clear_pairing_cache()
+    cold = verifier.verify_same_signer(items, keys.identity, keys.public_key)
+    expected = all(
+        scheme.verify(msg, sig, keys.identity, keys.public_key)
+        for msg, sig in items
+    )
+    warm = verifier.verify_same_signer(items, keys.identity, keys.public_key)
+    assert cold is warm is expected is valid
 
 
 def _cross_items(scheme, signers, count, tag="m"):

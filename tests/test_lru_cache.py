@@ -91,13 +91,10 @@ class TestLRUCache:
 class _FakeGT:
     """Stand-in Miller/GT value so cache-shape tests skip real pairings."""
 
-    def inverse(self):
+    def conjugate(self):
         return self
 
     def __mul__(self, other):
-        return self
-
-    def __pow__(self, exponent):
         return self
 
     def is_one(self):

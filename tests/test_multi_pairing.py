@@ -17,6 +17,7 @@ from repro.core.batch import McCLSBatchVerifier
 from repro.core.mccls import McCLS
 from repro.pairing.bn import toy_curve
 from repro.pairing.groups import PairingContext
+from repro.pairing.pairing import final_exponentiation
 from repro.schemes.ibs import ChaCheonIBS
 from repro.schemes.zwxf import ZWXFScheme
 
@@ -66,6 +67,38 @@ class TestMcCLSColdWarm:
             assert scheme.verify(b"m", sig, keys.identity, keys.public_key)
         assert registry.field_ops.pairings == 1
         assert registry.field_ops.miller_loops == 1
+
+
+class TestConjugatedConstant:
+    """The Miller cache holds conj(f) for e(P, Q): exact as f^-1 under the
+    final exponentiation, so cached and cold verdicts cannot differ."""
+
+    def test_cached_conjugate_cancels_the_gt_value(self, fresh_ctx):
+        ctx = fresh_ctx
+        p_point, q_point = ctx.g1 * 5, ctx.g2 * 3
+        value = ctx.pair_cached(p_point, q_point)
+        (key,) = list(ctx._miller_cache)
+        cached = ctx._miller_cache.get(key)
+        assert not value.is_one()
+        assert (final_exponentiation(ctx.curve, cached) * value).is_one()
+
+    def test_warm_and_cold_codh_verdicts_agree(self, fresh_ctx, curve48):
+        warm = fresh_ctx
+        base, target, right = warm.g1 * 5, warm.g2 * 3, warm.g2
+        warm.pair_cached(base, target)
+        # e(15*g1, g2) == e(5*g1, 3*g2); e(16*g1, g2) is not.
+        for scalar, expected in ((15, True), (16, False)):
+            left = warm.g1 * scalar
+            cold = PairingContext(curve48, random.Random(1))
+            with obs.collecting() as registry:
+                verdict = warm.codh_check_cached(left, right, base, target)
+            assert verdict is expected
+            assert registry.field_ops.miller_loops == 1
+            with obs.collecting() as registry:
+                verdict = cold.codh_check_cached(left, right, base, target)
+            assert verdict is expected
+            assert registry.field_ops.miller_loops == 2
+            assert registry.field_ops.final_exps == 1
 
 
 class TestZWXFWarm:
